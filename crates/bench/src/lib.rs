@@ -1,9 +1,9 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every figure and table of the paper's evaluation section (Section 7) has
-//! a dedicated binary in `src/bin/` that regenerates it; the Criterion
-//! benches in `benches/` time the underlying algorithms. This library crate
-//! holds the experiment parameters they all share, so that the PNX8550
+//! a dedicated binary in `src/bin/` that regenerates it, and the
+//! `perf_baseline` binary times the underlying algorithms. This library
+//! crate holds the experiment parameters they all share, so that the PNX8550
 //! stand-in, the target ATE and the probe station are configured in exactly
 //! one place. (`soctest-experiments` reuses the same parameters for its
 //! dense-grid artifact regeneration.)

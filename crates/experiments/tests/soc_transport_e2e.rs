@@ -243,6 +243,44 @@ fn concurrent_clients_replay_bit_identical_to_stdin_mode() {
 }
 
 #[test]
+fn deeply_nested_line_fails_one_connection_not_the_listener() {
+    // A line nesting far past the JSON parser's recursion limit answers
+    // one Protocol error on its own connection. Unbounded recursion
+    // would overflow that connection thread's stack and abort the whole
+    // listener, taking every other connection and the drain with it.
+    let nested = format!("{}\n{}\n", "[".repeat(10_000), d695_line("n1"));
+    let input_b = format!(
+        "{}\n{}\n",
+        tiny_soc_line("b1", "tiny_nested_b1", 4),
+        tiny_soc_line("b2", "tiny_nested_b2", 5)
+    );
+    let baseline_b = run_stdin_mode(&[], &input_b);
+    let sock = sock_path("nested");
+    let server = ListeningServer::spawn(&["--listen", sock.to_str().unwrap()]);
+    let addr = server.addr.clone();
+    let (out_a, out_b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| run_client(&addr, &nested, &[]));
+        let b = scope.spawn(|| run_client(&addr, &input_b, &[]));
+        (a.join().expect("client a"), b.join().expect("client b"))
+    });
+    assert_eq!(out_b.1, 0, "client b exits clean");
+    assert_eq!(non_bye(&out_b.0), non_bye(&baseline_b));
+    let frames = parse_transcript(&out_a.0);
+    assert_eq!(frames.len(), 3, "{}", out_a.0);
+    match &frames[0] {
+        ServerFrame::Error(error) => {
+            assert_eq!(error.request_id, None);
+            assert_eq!(error.kind, ErrorKind::Protocol);
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(matches!(&frames[1], ServerFrame::Result(r) if r.request_id == "n1"));
+    assert!(matches!(&frames[2], ServerFrame::Bye(_)));
+    let summary = server.drain();
+    assert!(summary.contains("2 connection(s)"), "{summary}");
+}
+
+#[test]
 fn sample_session_over_the_socket_matches_the_committed_transcript() {
     // The committed sample session (which exercises warm sessions, cache
     // hits, a sweep, and a typed error) replayed through soc-client at

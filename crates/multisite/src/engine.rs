@@ -62,7 +62,7 @@ use crate::problem::OptimizerConfig;
 use crate::service::cancel::{CancelGuarded, CancelToken};
 use crate::solution::MultiSiteSolution;
 use crate::sweep::{AxisValue, CostEffectiveness, SweepCurve, SweepPoint};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use soctest_ate::AteCostModel;
 use soctest_soc_model::validate::{validate_soc, Severity, ValidationIssue};
 use soctest_soc_model::Soc;
@@ -95,32 +95,6 @@ pub trait PointMemo: Send + Sync + std::fmt::Debug {
     fn put(&self, request: &OptimizeRequest, response: &OptimizeResponse);
 }
 
-/// Builds one externally-tagged enum value: `{"<tag>": body}`. Shared by
-/// every hand-written enum `Serialize` impl in this crate (the vendored
-/// serde derive covers unit enums only), so the wire format lives in one
-/// place.
-pub(crate) fn tagged(tag: &str, body: Value) -> Value {
-    Value::Object(vec![(tag.to_string(), body)])
-}
-
-/// Destructures an externally-tagged enum value into `(tag, body)`,
-/// rejecting anything but a single-field object. Counterpart of
-/// [`tagged`] for the hand-written `Deserialize` impls.
-pub(crate) fn untag<'v>(
-    value: &'v Value,
-    type_name: &str,
-) -> Result<(&'v str, &'v Value), SerdeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| SerdeError::custom(format!("expected object for {type_name}")))?;
-    match fields {
-        [(tag, body)] => Ok((tag.as_str(), body)),
-        _ => Err(SerdeError::custom(format!(
-            "expected exactly one variant tag for {type_name}"
-        ))),
-    }
-}
-
 /// The swept parameter of an [`OptimizeRequest`]: which test-cell or yield
 /// knob varies, and over which values.
 ///
@@ -133,7 +107,7 @@ pub(crate) fn untag<'v>(
 /// `{"ContactYield": {"depths": [...], "contact_yields": [...]}}`, ...),
 /// so request files keep working if the vendored serde is swapped for the
 /// crates.io release.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum SweepAxis {
     /// No sweep: one two-step optimization of the request's config.
@@ -159,76 +133,6 @@ pub enum SweepAxis {
         /// One curve per manufacturing yield `p_m`, in this order.
         manufacturing_yields: Vec<f64>,
     },
-}
-
-impl Serialize for SweepAxis {
-    fn to_value(&self) -> Value {
-        match self {
-            SweepAxis::None => Value::String("None".to_string()),
-            SweepAxis::Channels(counts) => tagged("Channels", counts.to_value()),
-            SweepAxis::DepthVectors(depths) => tagged("DepthVectors", depths.to_value()),
-            SweepAxis::ContactYield {
-                depths,
-                contact_yields,
-            } => tagged(
-                "ContactYield",
-                Value::Object(vec![
-                    ("depths".to_string(), depths.to_value()),
-                    ("contact_yields".to_string(), contact_yields.to_value()),
-                ]),
-            ),
-            SweepAxis::ManufacturingYield {
-                max_sites,
-                manufacturing_yields,
-            } => tagged(
-                "ManufacturingYield",
-                Value::Object(vec![
-                    ("max_sites".to_string(), max_sites.to_value()),
-                    (
-                        "manufacturing_yields".to_string(),
-                        manufacturing_yields.to_value(),
-                    ),
-                ]),
-            ),
-        }
-    }
-}
-
-impl Deserialize for SweepAxis {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if let Some(name) = value.as_str() {
-            return match name {
-                "None" => Ok(SweepAxis::None),
-                other => Err(SerdeError::custom(format!(
-                    "unknown unit variant `{other}` for SweepAxis"
-                ))),
-            };
-        }
-        let (tag, body) = untag(value, "SweepAxis")?;
-        match tag {
-            "Channels" => Ok(SweepAxis::Channels(Vec::from_value(body)?)),
-            "DepthVectors" => Ok(SweepAxis::DepthVectors(Vec::from_value(body)?)),
-            "ContactYield" => Ok(SweepAxis::ContactYield {
-                depths: serde::get_field(body, "depths", "SweepAxis::ContactYield")?,
-                contact_yields: serde::get_field(
-                    body,
-                    "contact_yields",
-                    "SweepAxis::ContactYield",
-                )?,
-            }),
-            "ManufacturingYield" => Ok(SweepAxis::ManufacturingYield {
-                max_sites: serde::get_field(body, "max_sites", "SweepAxis::ManufacturingYield")?,
-                manufacturing_yields: serde::get_field(
-                    body,
-                    "manufacturing_yields",
-                    "SweepAxis::ManufacturingYield",
-                )?,
-            }),
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for SweepAxis"
-            ))),
-        }
-    }
 }
 
 /// One unit of work for an [`Engine`]: a base configuration plus an
@@ -286,7 +190,7 @@ impl OptimizeRequest {
 ///
 /// Serialises in real serde's externally-tagged enum format
 /// (`{"Solution": {...}}` / `{"Curves": [...]}`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum OptimizeResponse {
     /// The full two-step solution of a [`SweepAxis::None`] request.
@@ -328,32 +232,6 @@ impl OptimizeResponse {
         match self {
             OptimizeResponse::Curves(curves) => Some(curves),
             _ => None,
-        }
-    }
-}
-
-impl Serialize for OptimizeResponse {
-    fn to_value(&self) -> Value {
-        match self {
-            OptimizeResponse::Solution(solution) => {
-                tagged("Solution", solution.as_ref().to_value())
-            }
-            OptimizeResponse::Curves(curves) => tagged("Curves", curves.to_value()),
-        }
-    }
-}
-
-impl Deserialize for OptimizeResponse {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let (tag, body) = untag(value, "OptimizeResponse")?;
-        match tag {
-            "Solution" => Ok(OptimizeResponse::Solution(Box::new(
-                MultiSiteSolution::from_value(body)?,
-            ))),
-            "Curves" => Ok(OptimizeResponse::Curves(Vec::from_value(body)?)),
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for OptimizeResponse"
-            ))),
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Errors of the multi-site optimizer.
 
-use crate::engine::{tagged, untag};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use soctest_soc_model::validate::ValidationIssue;
 use soctest_tam::TamError;
 use std::fmt;
@@ -14,7 +13,7 @@ use std::fmt;
 /// variants as bare strings, data variants as single-key objects), so
 /// error frames on the service wire keep their shape if the vendored
 /// serde is swapped for the crates.io release.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum OptimizeError {
     /// The architecture design failed (module infeasible, channel shortage,
@@ -98,60 +97,6 @@ impl std::error::Error for OptimizeError {
 impl From<TamError> for OptimizeError {
     fn from(value: TamError) -> Self {
         OptimizeError::Architecture(value)
-    }
-}
-
-impl Serialize for OptimizeError {
-    fn to_value(&self) -> Value {
-        match self {
-            OptimizeError::Architecture(inner) => tagged("Architecture", inner.to_value()),
-            OptimizeError::InvalidConfig { message } => tagged(
-                "InvalidConfig",
-                Value::Object(vec![("message".to_string(), message.to_value())]),
-            ),
-            OptimizeError::InvalidSoc { issues } => tagged(
-                "InvalidSoc",
-                Value::Object(vec![("issues".to_string(), issues.to_value())]),
-            ),
-            OptimizeError::Internal { message } => tagged(
-                "Internal",
-                Value::Object(vec![("message".to_string(), message.to_value())]),
-            ),
-            OptimizeError::Cancelled => Value::String("Cancelled".to_string()),
-            OptimizeError::DeadlineExceeded => Value::String("DeadlineExceeded".to_string()),
-            OptimizeError::Overloaded => Value::String("Overloaded".to_string()),
-        }
-    }
-}
-
-impl Deserialize for OptimizeError {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if let Some(name) = value.as_str() {
-            return match name {
-                "Cancelled" => Ok(OptimizeError::Cancelled),
-                "DeadlineExceeded" => Ok(OptimizeError::DeadlineExceeded),
-                "Overloaded" => Ok(OptimizeError::Overloaded),
-                other => Err(SerdeError::custom(format!(
-                    "unknown unit variant `{other}` for OptimizeError"
-                ))),
-            };
-        }
-        let (tag, body) = untag(value, "OptimizeError")?;
-        match tag {
-            "Architecture" => Ok(OptimizeError::Architecture(TamError::from_value(body)?)),
-            "InvalidConfig" => Ok(OptimizeError::InvalidConfig {
-                message: serde::get_field(body, "message", "OptimizeError::InvalidConfig")?,
-            }),
-            "InvalidSoc" => Ok(OptimizeError::InvalidSoc {
-                issues: serde::get_field(body, "issues", "OptimizeError::InvalidSoc")?,
-            }),
-            "Internal" => Ok(OptimizeError::Internal {
-                message: serde::get_field(body, "message", "OptimizeError::Internal")?,
-            }),
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for OptimizeError"
-            ))),
-        }
     }
 }
 

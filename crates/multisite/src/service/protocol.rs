@@ -9,43 +9,23 @@
 //!   statistics when the stream drains.
 //!
 //! The enums are modeled like the `soc-batch` wire types: invalid states
-//! are unrepresentable in the Rust types, and the hand-written serde
-//! impls keep real serde's externally-tagged enum format so the frames
-//! survive a swap to the crates.io serde. Unlike the lenient derived
-//! struct impls, every protocol-level object here is **strict**: an
-//! unknown or duplicate field on a frame is a protocol error (a typo'd
-//! `"deadline_ms"` must not silently become "no deadline"), enforced by
-//! `expect_fields`. Truncated frames fail JSON parsing one layer below.
+//! are unrepresentable in the Rust types, and the derived serde impls use
+//! real serde's externally-tagged enum format, so the frames survive a
+//! swap to the crates.io serde. Every object a frame carries is checked
+//! for duplicate fields. The frame-level objects are also **strict**
+//! (`#[serde(deny_unknown_fields)]`): an unknown field on a frame is a
+//! protocol error (a typo'd `"deadline_ms"` must not silently become "no
+//! deadline"), while the engine request inside stays lenient. Truncated
+//! frames fail JSON parsing one layer below.
 
-use crate::engine::{tagged, untag, OptimizeRequest, OptimizeResponse};
+use crate::engine::{OptimizeRequest, OptimizeResponse};
 use crate::error::OptimizeError;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
-
-/// Rejects unknown and duplicate fields on a protocol object — the
-/// strictness layer the lenient derived impls don't provide.
-fn expect_fields(value: &Value, allowed: &[&str], type_name: &str) -> Result<(), SerdeError> {
-    let fields = value
-        .as_object()
-        .ok_or_else(|| SerdeError::custom(format!("expected object for {type_name}")))?;
-    for (index, (name, _)) in fields.iter().enumerate() {
-        if !allowed.contains(&name.as_str()) {
-            return Err(SerdeError::custom(format!(
-                "unknown field `{name}` for {type_name}"
-            )));
-        }
-        if fields[..index].iter().any(|(earlier, _)| earlier == name) {
-            return Err(SerdeError::custom(format!(
-                "duplicate field `{name}` for {type_name}"
-            )));
-        }
-    }
-    Ok(())
-}
+use serde::{Deserialize, Serialize};
 
 /// The SOC a request targets: inline `.soc` text (parsed and validated
 /// per session) or the name of an embedded benchmark
 /// (see [`crate::service::resolve_named_soc`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SocSpec {
     /// Inline `.soc` document text.
     Inline(String),
@@ -54,32 +34,11 @@ pub enum SocSpec {
     Named(String),
 }
 
-impl Serialize for SocSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            SocSpec::Inline(text) => tagged("Inline", text.to_value()),
-            SocSpec::Named(name) => tagged("Named", name.to_value()),
-        }
-    }
-}
-
-impl Deserialize for SocSpec {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let (tag, body) = untag(value, "SocSpec")?;
-        match tag {
-            "Inline" => Ok(SocSpec::Inline(String::from_value(body)?)),
-            "Named" => Ok(SocSpec::Named(String::from_value(body)?)),
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for SocSpec"
-            ))),
-        }
-    }
-}
-
 /// One optimizer request on the wire: an id chosen by the client (echoed
 /// on every frame about this request), the target SOC, the typed engine
 /// request, an optional deadline, and an opt-in statistics flag.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct OptimizeFrame {
     /// Client-chosen correlation id; must be unique among in-flight
     /// requests.
@@ -91,60 +50,19 @@ pub struct OptimizeFrame {
     /// Optional deadline in milliseconds, measured from admission; an
     /// expired request answers [`ErrorKind::DeadlineExceeded`]. Absent or
     /// `null` means no deadline.
+    #[serde(default)]
     pub deadline_ms: Option<u64>,
     /// Opt-in per-request statistics: when `true`, the answering
     /// [`ResultFrame`] carries a [`RequestStats`] block. Absent means
     /// `false`, and a `false` flag is omitted on the wire, so frames
     /// that never ask for statistics serialise exactly as before.
+    #[serde(default, skip_serializing_if = "is_false")]
     pub stats: bool,
 }
 
-// Hand-written (not derived) so a `false` stats flag is omitted: frames
-// from stats-unaware clients round-trip byte-identically.
-impl Serialize for OptimizeFrame {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("request_id".to_string(), self.request_id.to_value()),
-            ("soc".to_string(), self.soc.to_value()),
-            ("request".to_string(), self.request.to_value()),
-            ("deadline_ms".to_string(), self.deadline_ms.to_value()),
-        ];
-        if self.stats {
-            fields.push(("stats".to_string(), self.stats.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for OptimizeFrame {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        expect_fields(
-            value,
-            &["request_id", "soc", "request", "deadline_ms", "stats"],
-            "OptimizeFrame",
-        )?;
-        // `deadline_ms` and `stats` may be omitted entirely, unlike the
-        // other fields, which are required.
-        let deadline_ms = match value.get("deadline_ms") {
-            None => None,
-            Some(raw) => Option::<u64>::from_value(raw)?,
-        };
-        let stats = match value.get("stats") {
-            None => false,
-            Some(raw) => bool::from_value(raw)?,
-        };
-        Ok(OptimizeFrame {
-            request_id: serde::get_field(value, "request_id", "OptimizeFrame")?,
-            soc: serde::get_field(value, "soc", "OptimizeFrame")?,
-            request: serde::get_field(value, "request", "OptimizeFrame")?,
-            deadline_ms,
-            stats,
-        })
-    }
-}
-
 /// One line of client input.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ClientFrame {
     /// Admit one optimizer request.
     Optimize(OptimizeFrame),
@@ -155,45 +73,6 @@ pub enum ClientFrame {
     },
     /// Stop reading input, drain the queue, answer `Bye`, exit.
     Shutdown,
-}
-
-impl Serialize for ClientFrame {
-    fn to_value(&self) -> Value {
-        match self {
-            ClientFrame::Optimize(frame) => tagged("Optimize", frame.to_value()),
-            ClientFrame::Cancel { request_id } => tagged(
-                "Cancel",
-                Value::Object(vec![("request_id".to_string(), request_id.to_value())]),
-            ),
-            ClientFrame::Shutdown => Value::String("Shutdown".to_string()),
-        }
-    }
-}
-
-impl Deserialize for ClientFrame {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if let Some(name) = value.as_str() {
-            return match name {
-                "Shutdown" => Ok(ClientFrame::Shutdown),
-                other => Err(SerdeError::custom(format!(
-                    "unknown unit variant `{other}` for ClientFrame"
-                ))),
-            };
-        }
-        let (tag, body) = untag(value, "ClientFrame")?;
-        match tag {
-            "Optimize" => Ok(ClientFrame::Optimize(OptimizeFrame::from_value(body)?)),
-            "Cancel" => {
-                expect_fields(body, &["request_id"], "ClientFrame::Cancel")?;
-                Ok(ClientFrame::Cancel {
-                    request_id: serde::get_field(body, "request_id", "ClientFrame::Cancel")?,
-                })
-            }
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for ClientFrame"
-            ))),
-        }
-    }
 }
 
 /// The failure class of an [`ErrorFrame`] — a stable, machine-matchable
@@ -261,7 +140,8 @@ pub enum Provenance {
 /// first-insert-deterministic. Run-specific measurements (wall/CPU time,
 /// pool occupancy) deliberately stay off the wire — `soc-serve
 /// --stats-summary` reports them on stderr instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RequestStats {
     /// How the response was obtained.
     pub provenance: Provenance,
@@ -279,59 +159,8 @@ pub struct RequestStats {
     /// for plain requests and for sweeps with nothing to reuse, and
     /// omitted on the wire when zero, so reuse-free transcripts
     /// serialise exactly as before.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub points_reused: u64,
-}
-
-// Hand-written (not derived) so a zero `points_reused` is omitted:
-// frames for requests that reused nothing round-trip byte-identically
-// with pre-point-cache servers.
-impl Serialize for RequestStats {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("provenance".to_string(), self.provenance.to_value()),
-            ("cells_built".to_string(), self.cells_built.to_value()),
-            (
-                "cells_inherited".to_string(),
-                self.cells_inherited.to_value(),
-            ),
-            (
-                "store_cells_computed".to_string(),
-                self.store_cells_computed.to_value(),
-            ),
-        ];
-        if self.points_reused != 0 {
-            fields.push(("points_reused".to_string(), self.points_reused.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for RequestStats {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        expect_fields(
-            value,
-            &[
-                "provenance",
-                "cells_built",
-                "cells_inherited",
-                "store_cells_computed",
-                "points_reused",
-            ],
-            "RequestStats",
-        )?;
-        // `points_reused` may be omitted entirely (older transcripts).
-        let points_reused = match value.get("points_reused") {
-            None => 0,
-            Some(raw) => u64::from_value(raw)?,
-        };
-        Ok(RequestStats {
-            provenance: serde::get_field(value, "provenance", "RequestStats")?,
-            cells_built: serde::get_field(value, "cells_built", "RequestStats")?,
-            cells_inherited: serde::get_field(value, "cells_inherited", "RequestStats")?,
-            store_cells_computed: serde::get_field(value, "store_cells_computed", "RequestStats")?,
-            points_reused,
-        })
-    }
 }
 
 /// Deterministic aggregate of every stats-enabled request of a session,
@@ -350,7 +179,8 @@ pub struct TraceSummary {
 }
 
 /// A successful answer to one [`OptimizeFrame`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ResultFrame {
     /// The id of the request this answers.
     pub request_id: String,
@@ -365,50 +195,14 @@ pub struct ResultFrame {
     pub response: OptimizeResponse,
     /// The opt-in statistics block; `None` (and omitted on the wire)
     /// unless the request set [`OptimizeFrame::stats`].
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stats: Option<RequestStats>,
-}
-
-// Hand-written (not derived) so an absent stats block is omitted: result
-// frames for stats-off requests serialise exactly as before.
-impl Serialize for ResultFrame {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("request_id".to_string(), self.request_id.to_value()),
-            ("warm".to_string(), self.warm.to_value()),
-            ("cached".to_string(), self.cached.to_value()),
-            ("response".to_string(), self.response.to_value()),
-        ];
-        if let Some(stats) = &self.stats {
-            fields.push(("stats".to_string(), stats.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for ResultFrame {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        expect_fields(
-            value,
-            &["request_id", "warm", "cached", "response", "stats"],
-            "ResultFrame",
-        )?;
-        let stats = match value.get("stats") {
-            None => None,
-            Some(raw) => Option::<RequestStats>::from_value(raw)?,
-        };
-        Ok(ResultFrame {
-            request_id: serde::get_field(value, "request_id", "ResultFrame")?,
-            warm: serde::get_field(value, "warm", "ResultFrame")?,
-            cached: serde::get_field(value, "cached", "ResultFrame")?,
-            response: serde::get_field(value, "response", "ResultFrame")?,
-            stats,
-        })
-    }
 }
 
 /// A typed failure: per-request when `request_id` is set, stream-level
 /// (an unparseable line) when it is `null`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ErrorFrame {
     /// The id of the request this answers, or `null` for line-level
     /// protocol errors.
@@ -436,17 +230,6 @@ impl ErrorFrame {
             kind: ErrorKind::Protocol,
             message: message.into(),
         }
-    }
-}
-
-impl Deserialize for ErrorFrame {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        expect_fields(value, &["request_id", "kind", "message"], "ErrorFrame")?;
-        Ok(ErrorFrame {
-            request_id: serde::get_field(value, "request_id", "ErrorFrame")?,
-            kind: serde::get_field(value, "kind", "ErrorFrame")?,
-            message: serde::get_field(value, "message", "ErrorFrame")?,
-        })
     }
 }
 
@@ -499,7 +282,8 @@ pub struct ConnectionStats {
 /// `errors`, `internal_errors`, and the `connection` block are scoped to
 /// that connection, while the session/cache counters describe the shared
 /// server at the moment the connection drained.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServerStats {
     /// `Result` frames written.
     pub served: u64,
@@ -509,6 +293,7 @@ pub struct ServerStats {
     /// that died by panic (or broke an optimizer invariant) under the
     /// executor's isolation. Omitted on the wire when zero, so
     /// healthy-session transcripts are unchanged.
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub internal_errors: u64,
     /// Engine sessions built over the lifetime of the stream.
     pub sessions_created: u64,
@@ -522,78 +307,16 @@ pub struct ServerStats {
     pub cache: CacheStats,
     /// Aggregate of the stats-enabled requests; `None` (and omitted on
     /// the wire) when no request of the session opted in.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceSummary>,
     /// The transport connection this `Bye` closes; `None` (and omitted
     /// on the wire) in stdin/stdout mode.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub connection: Option<ConnectionStats>,
 }
 
-// Hand-written (not derived) so the absent-by-default blocks are
-// omitted: `Bye` frames of stats-off, panic-free, stdin-mode sessions
-// serialise exactly as before.
-impl Serialize for ServerStats {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("served".to_string(), self.served.to_value()),
-            ("errors".to_string(), self.errors.to_value()),
-        ];
-        if self.internal_errors != 0 {
-            fields.push((
-                "internal_errors".to_string(),
-                self.internal_errors.to_value(),
-            ));
-        }
-        fields.extend([
-            (
-                "sessions_created".to_string(),
-                self.sessions_created.to_value(),
-            ),
-            ("session_hits".to_string(), self.session_hits.to_value()),
-            ("session_misses".to_string(), self.session_misses.to_value()),
-            ("evictions".to_string(), self.evictions.to_value()),
-            ("cache".to_string(), self.cache.to_value()),
-        ]);
-        if let Some(trace) = &self.trace {
-            fields.push(("trace".to_string(), trace.to_value()));
-        }
-        if let Some(connection) = &self.connection {
-            fields.push(("connection".to_string(), connection.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for ServerStats {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let internal_errors = match value.get("internal_errors") {
-            None => 0,
-            Some(raw) => u64::from_value(raw)?,
-        };
-        let trace = match value.get("trace") {
-            None => None,
-            Some(raw) => Option::<TraceSummary>::from_value(raw)?,
-        };
-        let connection = match value.get("connection") {
-            None => None,
-            Some(raw) => Option::<ConnectionStats>::from_value(raw)?,
-        };
-        Ok(ServerStats {
-            served: serde::get_field(value, "served", "ServerStats")?,
-            errors: serde::get_field(value, "errors", "ServerStats")?,
-            internal_errors,
-            sessions_created: serde::get_field(value, "sessions_created", "ServerStats")?,
-            session_hits: serde::get_field(value, "session_hits", "ServerStats")?,
-            session_misses: serde::get_field(value, "session_misses", "ServerStats")?,
-            evictions: serde::get_field(value, "evictions", "ServerStats")?,
-            cache: serde::get_field(value, "cache", "ServerStats")?,
-            trace,
-            connection,
-        })
-    }
-}
-
 /// One line of server output.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerFrame {
     /// A request succeeded.
     Result(ResultFrame),
@@ -604,46 +327,14 @@ pub enum ServerFrame {
     Bye(ServerStats),
 }
 
-impl Serialize for ServerFrame {
-    fn to_value(&self) -> Value {
-        match self {
-            ServerFrame::Result(frame) => tagged("Result", frame.to_value()),
-            ServerFrame::Error(frame) => tagged("Error", frame.to_value()),
-            ServerFrame::Bye(stats) => tagged("Bye", stats.to_value()),
-        }
-    }
+/// `skip_serializing_if` predicate: a `false` flag stays off the wire.
+fn is_false(flag: &bool) -> bool {
+    !flag
 }
 
-impl Deserialize for ServerFrame {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let (tag, body) = untag(value, "ServerFrame")?;
-        match tag {
-            "Result" => Ok(ServerFrame::Result(ResultFrame::from_value(body)?)),
-            "Error" => Ok(ServerFrame::Error(ErrorFrame::from_value(body)?)),
-            "Bye" => {
-                expect_fields(
-                    body,
-                    &[
-                        "served",
-                        "errors",
-                        "internal_errors",
-                        "sessions_created",
-                        "session_hits",
-                        "session_misses",
-                        "evictions",
-                        "cache",
-                        "trace",
-                        "connection",
-                    ],
-                    "ServerFrame::Bye",
-                )?;
-                Ok(ServerFrame::Bye(ServerStats::from_value(body)?))
-            }
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for ServerFrame"
-            ))),
-        }
-    }
+/// `skip_serializing_if` predicate: a zero counter stays off the wire.
+fn is_zero(count: &u64) -> bool {
+    *count == 0
 }
 
 /// Parses one line of client input.

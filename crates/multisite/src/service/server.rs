@@ -1327,6 +1327,31 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_one_protocol_error() {
+        // Nesting far past the JSON parser's recursion limit must answer
+        // one typed error; unbounded recursion would overflow the
+        // reader's stack and abort the process.
+        let input = format!(
+            "{}\n{}\n",
+            "[".repeat(200_000),
+            optimize_line("r1", SocSpec::Named("d695".into()), None),
+        );
+        let (frames, stats) = run_session(ServerConfig::default(), &input);
+        assert_eq!(frames.len(), 3, "{frames:?}");
+        match &frames[0] {
+            ServerFrame::Error(error) => {
+                assert_eq!(error.request_id, None);
+                assert_eq!(error.kind, ErrorKind::Protocol);
+                assert!(error.message.contains("recursion limit"), "{error:?}");
+            }
+            other => panic!("expected protocol error, got {other:?}"),
+        }
+        assert!(matches!(&frames[1], ServerFrame::Result(r) if r.request_id == "r1"));
+        assert!(matches!(&frames[2], ServerFrame::Bye(_)));
+        assert_eq!((stats.served, stats.errors), (1, 1));
+    }
+
+    #[test]
     fn unparseable_and_invalid_socs_answer_invalid_soc() {
         let input = format!(
             "{}\n{}\n",

@@ -21,11 +21,11 @@
 //! [`Engine`] themselves and batch the requests — the engine then shares
 //! one table across all of them instead of rebuilding it per call.
 
-use crate::engine::{tagged, untag, Engine, OptimizeRequest, OptimizeResponse, SweepAxis};
+use crate::engine::{Engine, OptimizeRequest, OptimizeResponse, SweepAxis};
 use crate::error::OptimizeError;
 use crate::problem::OptimizerConfig;
 use crate::solution::SitePoint;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use soctest_ate::AteCostModel;
 use soctest_soc_model::Soc;
 use std::fmt;
@@ -35,7 +35,7 @@ use std::fmt;
 /// Replaces the former lossy `parameter: f64`: the variant names the axis
 /// and the value keeps its native integer type. Serialises in real
 /// serde's externally-tagged enum format (`{"Channels": 512}`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum AxisValue {
     /// An ATE channel count ([`SweepAxis::Channels`]).
@@ -73,30 +73,6 @@ impl fmt::Display for AxisValue {
             AxisValue::Channels(channels) => fmt::Display::fmt(channels, f),
             AxisValue::DepthVectors(depth) => fmt::Display::fmt(depth, f),
             AxisValue::Sites(sites) => fmt::Display::fmt(sites, f),
-        }
-    }
-}
-
-impl Serialize for AxisValue {
-    fn to_value(&self) -> Value {
-        match self {
-            AxisValue::Channels(channels) => tagged("Channels", channels.to_value()),
-            AxisValue::DepthVectors(depth) => tagged("DepthVectors", depth.to_value()),
-            AxisValue::Sites(sites) => tagged("Sites", sites.to_value()),
-        }
-    }
-}
-
-impl Deserialize for AxisValue {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let (tag, body) = untag(value, "AxisValue")?;
-        match tag {
-            "Channels" => Ok(AxisValue::Channels(usize::from_value(body)?)),
-            "DepthVectors" => Ok(AxisValue::DepthVectors(u64::from_value(body)?)),
-            "Sites" => Ok(AxisValue::Sites(usize::from_value(body)?)),
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for AxisValue"
-            ))),
         }
     }
 }

@@ -1,10 +1,16 @@
 //! Errors produced by the test-architecture design algorithms.
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+#[cfg(test)]
+use serde::Value;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors of the TAM / channel-group design algorithms.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Serialises in real serde's externally-tagged enum format (`"EmptySoc"`,
+/// `{"ModuleInfeasible": {...}}`), so service-layer error frames keep their
+/// wire shape if the vendored serde is swapped for the crates.io release.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TamError {
     /// A single module cannot meet the vector-memory depth even when given
     /// every available ATE channel; the SOC cannot be tested on this ATE.
@@ -48,79 +54,6 @@ impl fmt::Display for TamError {
 }
 
 impl std::error::Error for TamError {}
-
-// Hand-written serde in real serde's externally-tagged enum format (the
-// vendored derive covers unit enums only): `"EmptySoc"` for the unit
-// variant, `{"ModuleInfeasible": {...}}` for the data variants — so
-// service-layer error frames keep their wire shape if the vendored serde
-// is swapped for the crates.io release.
-impl Serialize for TamError {
-    fn to_value(&self) -> Value {
-        match self {
-            TamError::ModuleInfeasible {
-                module,
-                depth,
-                max_width,
-            } => Value::Object(vec![(
-                "ModuleInfeasible".to_string(),
-                Value::Object(vec![
-                    ("module".to_string(), module.to_value()),
-                    ("depth".to_string(), depth.to_value()),
-                    ("max_width".to_string(), max_width.to_value()),
-                ]),
-            )]),
-            TamError::InsufficientChannels { available_channels } => Value::Object(vec![(
-                "InsufficientChannels".to_string(),
-                Value::Object(vec![(
-                    "available_channels".to_string(),
-                    available_channels.to_value(),
-                )]),
-            )]),
-            TamError::EmptySoc => Value::String("EmptySoc".to_string()),
-        }
-    }
-}
-
-impl Deserialize for TamError {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        if let Some(name) = value.as_str() {
-            return match name {
-                "EmptySoc" => Ok(TamError::EmptySoc),
-                other => Err(SerdeError::custom(format!(
-                    "unknown unit variant `{other}` for TamError"
-                ))),
-            };
-        }
-        let fields = value
-            .as_object()
-            .ok_or_else(|| SerdeError::custom("expected object for TamError"))?;
-        let (tag, body) = match fields {
-            [(tag, body)] => (tag.as_str(), body),
-            _ => {
-                return Err(SerdeError::custom(
-                    "expected exactly one variant tag for TamError",
-                ))
-            }
-        };
-        match tag {
-            "ModuleInfeasible" => Ok(TamError::ModuleInfeasible {
-                module: serde::get_field(body, "module", "TamError::ModuleInfeasible")?,
-                depth: serde::get_field(body, "depth", "TamError::ModuleInfeasible")?,
-                max_width: serde::get_field(body, "max_width", "TamError::ModuleInfeasible")?,
-            }),
-            "InsufficientChannels" => Ok(TamError::InsufficientChannels {
-                available_channels: serde::get_field(
-                    body,
-                    "available_channels",
-                    "TamError::InsufficientChannels",
-                )?,
-            }),
-            other => Err(SerdeError::custom(format!(
-                "unknown variant `{other}` for TamError"
-            ))),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
