@@ -237,11 +237,13 @@ fn serve_listener(addr_text: &str, options: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    install_drain_signals();
+    // Loads `--cache-dir` before the announcement, so the line means
+    // ready.
+    let server = Server::new(options.config.clone());
     // Announced on stderr so scripts (and the e2e suite) can discover a
     // TCP `:0` port without racing the first client.
     eprintln!("listening on {}", listener.local_addr());
-    install_drain_signals();
-    let server = Server::new(options.config.clone());
     let mut transport = TransportConfig::default();
     transport.drain_grace = Duration::from_millis(options.drain_ms);
     transport.write_timeout = Duration::from_millis(options.write_timeout_ms.max(1));

@@ -69,10 +69,14 @@ fn parse_transcript(transcript: &str) -> Vec<ServerFrame> {
 
 /// A listening `soc-serve` subprocess. Construction blocks until the
 /// server announces `listening on <addr>` on stderr, so clients never
-/// race the bind; `drain()` sends SIGTERM and asserts a clean exit.
+/// race the bind or the cache-directory load; `drain()` sends SIGTERM
+/// and asserts a clean exit.
 struct ListeningServer {
     child: Child,
     addr: String,
+    /// The stderr lines printed before the announcement (cache-directory
+    /// warnings).
+    preamble: Vec<String>,
     /// Kept open so the server's drain summary never hits a closed pipe.
     stderr: BufReader<ChildStderr>,
 }
@@ -87,18 +91,22 @@ impl ListeningServer {
             .spawn()
             .expect("spawn soc-serve --listen");
         let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
-        let mut announce = String::new();
-        stderr
-            .read_line(&mut announce)
-            .expect("read listen announcement");
-        let addr = announce
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected announcement: {announce:?}"))
-            .trim()
-            .to_string();
+        let mut preamble = Vec::new();
+        let addr = loop {
+            let mut line = String::new();
+            let read = stderr
+                .read_line(&mut line)
+                .expect("read listen announcement");
+            assert!(read > 0, "soc-serve exited before listening: {preamble:?}");
+            match line.strip_prefix("listening on ") {
+                Some(addr) => break addr.trim().to_string(),
+                None => preamble.push(line),
+            }
+        };
         ListeningServer {
             child,
             addr,
+            preamble,
             stderr,
         }
     }
@@ -118,6 +126,16 @@ impl ListeningServer {
             .read_to_string(&mut rest)
             .expect("read drain summary");
         rest
+    }
+}
+
+impl Drop for ListeningServer {
+    /// A test that fails before `drain` must not leave its server
+    /// running; after `drain` the child is already reaped and both calls
+    /// fail harmlessly.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -501,6 +519,34 @@ fn accept_fault_refuses_one_connection_without_a_bye() {
     assert_eq!(code, 0, "{transcript}");
     let summary = server.drain();
     assert!(summary.contains("1 refused accept(s)"), "{summary}");
+}
+
+#[test]
+fn listening_is_announced_after_the_cache_directory_loaded() {
+    // A corrupt solutions.v1: its warning comes from the load, which must
+    // finish before the server reports itself ready.
+    let dir = std::env::temp_dir().join(format!("soctest-e2e-ready-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create cache dir");
+    std::fs::write(dir.join("solutions.v1"), b"not a solution cache").expect("write");
+    let sock = sock_path("ready");
+    let server = ListeningServer::spawn(&[
+        "--listen",
+        sock.to_str().unwrap(),
+        "--cache-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(
+        server
+            .preamble
+            .iter()
+            .any(|line| line.starts_with("warning: ignoring solution cache")),
+        "warning not printed before `listening on`: {:?}",
+        server.preamble
+    );
+    let (transcript, code) = run_client(&server.addr, &d695_line("r1"), &[]);
+    assert_eq!(code, 0, "{transcript}");
+    server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -57,8 +57,9 @@
 //! ```
 
 use crate::error::OptimizeError;
-use crate::optimizer::{evaluate_point, optimize_with_table};
-use crate::problem::OptimizerConfig;
+use crate::optimizer::evaluate_point;
+use crate::plan::PlanMemo;
+use crate::problem::{validate_yield, OptimizerConfig};
 use crate::service::cancel::{CancelGuarded, CancelToken};
 use crate::solution::MultiSiteSolution;
 use crate::sweep::{AxisValue, CostEffectiveness, SweepCurve, SweepPoint};
@@ -331,6 +332,7 @@ impl EngineBuilder {
                 soc: self.soc,
                 threads: self.threads,
                 point_memo: None,
+                plans: PlanMemo::default(),
                 points_reused: AtomicU64::new(0),
                 points_computed: AtomicU64::new(0),
                 validation: EngineValidation::Invalid { issues },
@@ -368,6 +370,7 @@ impl EngineBuilder {
             soc: self.soc,
             threads: self.threads,
             point_memo: self.point_memo,
+            plans: PlanMemo::default(),
             points_reused: AtomicU64::new(0),
             points_computed: AtomicU64::new(0),
             validation: EngineValidation::Usable { warnings },
@@ -580,8 +583,8 @@ pub struct EngineStats {
     pub cells_inherited: usize,
     /// Total cells the current table can hold.
     pub cells_total: usize,
-    /// Estimated resident bytes of the table
-    /// ([`Engine::table_memory_bytes`]).
+    /// Estimated resident bytes of the table and the session's Step 1 /
+    /// Step 2 plans ([`Engine::table_memory_bytes`]).
     pub table_memory_bytes: u64,
     /// Warning-level findings recorded at build time (for an unusable
     /// engine: all findings, errors included).
@@ -653,6 +656,9 @@ pub struct Engine {
     threads: Option<usize>,
     /// Point-level solution memo; see [`EngineBuilder::point_memo`].
     point_memo: Option<Arc<dyn PointMemo>>,
+    /// Step 1 architectures and Step 2 trajectories of the current table
+    /// snapshot, behind every optimization the engine runs.
+    plans: PlanMemo,
     /// Lifetime count of sweep points answered from the point memo.
     points_reused: AtomicU64,
     /// Lifetime count of sweep points computed and published to the memo.
@@ -734,11 +740,13 @@ impl Engine {
     /// Estimated resident bytes of the session's time table: 8 bytes per
     /// **allocated** cell (cells come in demand-allocated pages, so this
     /// follows the probed footprint, not the `modules × max_width`
-    /// rectangle) plus a small fixed overhead. This is what the service's
-    /// session registry charges against its memory cap — an estimate of
-    /// the dominant allocation, not an exact heap measurement.
+    /// rectangle) plus a small fixed overhead, plus the session's memo of
+    /// Step 1 architectures and Step 2 trajectories. This is what the
+    /// service's session registry charges against its memory cap — an
+    /// estimate of the dominant allocations, not an exact heap
+    /// measurement.
     pub fn table_memory_bytes(&self) -> u64 {
-        self.snapshot().memory_bytes()
+        self.snapshot().memory_bytes() + self.plans.memory_bytes()
     }
 
     /// The validation findings recorded when the engine was built: the
@@ -770,7 +778,7 @@ impl Engine {
             cells_from_store: table.cells_from_store(),
             cells_inherited: table.cells_inherited(),
             cells_total: table.cells_total(),
-            table_memory_bytes: table.memory_bytes(),
+            table_memory_bytes: table.memory_bytes() + self.plans.memory_bytes(),
             validation_issues: self.validation_issues().len(),
             usable: self.is_usable(),
         }
@@ -1056,7 +1064,7 @@ impl Engine {
 
         let mut deeper_cfg = *config;
         deeper_cfg.test_cell.ate = base_ate.with_depth(base_ate.vector_memory_depth * 2);
-        let deeper = optimize_with_table(self.soc.name(), table.as_ref(), &deeper_cfg)?;
+        let deeper = self.optimize(table.as_ref(), &deeper_cfg)?;
 
         Ok(CostEffectiveness {
             base_devices_per_hour: channel_points[0].optimal.objective(),
@@ -1082,7 +1090,8 @@ impl Engine {
     ) -> Result<OptimizeResponse, OptimizeError> {
         let config = &request.config;
         match &request.sweep {
-            SweepAxis::None => optimize_with_table(self.soc.name(), table, config)
+            SweepAxis::None => self
+                .optimize(table, config)
                 .map(|solution| OptimizeResponse::Solution(Box::new(solution))),
             SweepAxis::Channels(counts) => {
                 self.channel_points(table, token, config, counts)
@@ -1115,6 +1124,19 @@ impl Engine {
                 .abort_on_fail_curves(table, token, config, *max_sites, manufacturing_yields)
                 .map(OptimizeResponse::Curves),
         }
+    }
+
+    /// One two-step optimization of `config` on `table` (the session's
+    /// table snapshot, or a cancellation-guarded view of it), through the
+    /// session's memo of Step 1 architectures and Step 2 trajectories:
+    /// bit-identical to [`crate::optimizer::optimize_with_table`], with the
+    /// same table probes.
+    fn optimize<L: TimeLookup + ?Sized>(
+        &self,
+        table: &L,
+        config: &OptimizerConfig,
+    ) -> Result<MultiSiteSolution, OptimizeError> {
+        self.plans.optimize(self.soc.name(), table, config)
     }
 
     /// Polls a request's token between sweep points, mapping a fired
@@ -1153,21 +1175,21 @@ impl Engine {
     /// a [`SweepAxis::None`] request — exactly the key a standalone
     /// request for this configuration would carry, which is what makes
     /// sweep points and plain requests one cache namespace. Without a
-    /// memo this is a plain [`optimize_with_table`] call.
+    /// memo this is a plain [`Engine::optimize`] call.
     fn point_solution<L: TimeLookup + Sync + ?Sized>(
         &self,
         table: &L,
         cfg: &OptimizerConfig,
     ) -> Result<MultiSiteSolution, OptimizeError> {
         let Some(memo) = &self.point_memo else {
-            return optimize_with_table(self.soc.name(), table, cfg);
+            return self.optimize(table, cfg);
         };
         let key = OptimizeRequest::new(*cfg);
         if let Some(solution) = memo.get(&key).and_then(OptimizeResponse::into_solution) {
             self.points_reused.fetch_add(1, Ordering::Relaxed);
             return Ok(solution);
         }
-        let solution = optimize_with_table(self.soc.name(), table, cfg)?;
+        let solution = self.optimize(table, cfg)?;
         memo.put(
             &key,
             &OptimizeResponse::Solution(Box::new(solution.clone())),
@@ -1259,6 +1281,11 @@ impl Engine {
         max_sites: usize,
         manufacturing_yields: &[f64],
     ) -> Result<Vec<SweepCurve>, OptimizeError> {
+        // The yields only weight the closed-form points below, which no
+        // config validation sees: check them before any work.
+        for &manufacturing_yield in manufacturing_yields {
+            validate_yield("manufacturing", manufacturing_yield)?;
+        }
         // The base optimization is a plain run of the request's config —
         // memoised like any other point. The per-site points below are
         // `evaluate_point` closed forms, not optimizations, so they stay

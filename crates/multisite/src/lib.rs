@@ -66,6 +66,7 @@ pub mod engine;
 pub mod error;
 pub mod flat;
 pub mod optimizer;
+mod plan;
 pub mod problem;
 pub mod report;
 pub mod service;

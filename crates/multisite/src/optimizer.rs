@@ -1,13 +1,44 @@
 //! The two-step optimizer (Section 6 of the paper).
 //!
 //! * **Step 1** designs the channel-minimal test architecture for the SOC on
-//!   the target ATE (delegated to [`soctest_tam::step1`]). The resulting
-//!   per-SOC channel count `k` determines the maximum multi-site `n_max`.
+//!   the target ATE (delegated to [`soctest_tam::step1`]). Its total width
+//!   `W1` sets the per-SOC channel count `k = 2·W1`, which determines the
+//!   maximum multi-site `n_max`.
 //! * **Step 2** walks the site count `n` from `n_max` down to 1. At each
-//!   `n` the ATE channels freed by the abandoned sites are redistributed
-//!   over the remaining sites (always to the fullest channel group), the
-//!   test time and throughput are re-evaluated, and the `n` with the highest
-//!   throughput is selected as `n_opt`.
+//!   `n` a site gets [`channels_per_site`]`(C, n)` of the `C` ATE channels,
+//!   so `extra(n) = channels_per_site(C, n)/2 − W1` wrapper chains are free;
+//!   they are handed out one at a time, always to the fullest channel group
+//!   ([`soctest_tam::redistribute`]). The test time and throughput are
+//!   re-evaluated, and the `n` with the highest throughput is `n_opt`.
+//!
+//! # Step 2 is one greedy trajectory
+//!
+//! Handing out a chain never revisits an earlier choice, so the
+//! architecture after `e` chains is a prefix of the one after `e + 1`.
+//! Walking `n` down walks `e = extra(n)` up along a single trajectory, and
+//! a curve point needs only the total width and the fullest group's fill
+//! at `extra(n)`; yields, abort-on-fail and retest only weight the points
+//! ([`evaluate_point`]).
+//!
+//! Step 1 depends on the SOC, the depth and the table, but not on `C`: the
+//! channel count only caps the total width. Whenever Step 1 succeeds — that
+//! is, whenever `W1 ≤ C/2` — it builds the same architecture from the same
+//! table probes for every `C`.
+//!
+//! # The reference and the engine's path
+//!
+//! [`optimize_with_table`] is the reference: it reruns Step 1 and restarts
+//! the redistribution at every `n`. The [`crate::engine::Engine`] keeps,
+//! per table snapshot and depth, Step 1's architecture and the trajectory,
+//! extended only as far as a request needs. A curve then costs O(`n_max`)
+//! arithmetic, and only `n_opt`'s architecture is rebuilt, by replaying a
+//! prefix of the trajectory. The engine takes that path only where it is
+//! exact: the config validates, the table is at least `C/2` wide and
+//! `W1 ≤ C/2`. Everything else runs the reference — invalid configs,
+//! infeasible points, and tables narrower than `C/2`, where the
+//! reference's headroom clamp applies — so error text stays exact. Both
+//! paths give bit-identical results and probe the same table cells
+//! (`tests/proptest_plan_oracle.rs`).
 
 use crate::error::OptimizeError;
 use crate::problem::OptimizerConfig;
@@ -179,11 +210,27 @@ pub fn evaluate_point(
     sites: usize,
     config: &OptimizerConfig,
 ) -> SitePoint {
+    site_point(
+        architecture.test_time_cycles(),
+        architecture.total_width(),
+        sites,
+        config,
+    )
+}
+
+/// [`evaluate_point`] for an architecture of total width `tam_width`
+/// whose fullest group fills `cycles`: the only two facts about the
+/// architecture a curve point depends on.
+pub(crate) fn site_point(
+    cycles: u64,
+    tam_width: usize,
+    sites: usize,
+    config: &OptimizerConfig,
+) -> SitePoint {
     let ate = &config.test_cell.ate;
     let probe = &config.test_cell.probe;
-    let cycles = architecture.test_time_cycles();
     let manufacturing_test_time_s = ate.cycles_to_seconds(cycles);
-    let channels_used = architecture.total_channels();
+    let channels_used = 2 * tam_width;
     let pins = contacted_pads(channels_used, config);
 
     let model = ThroughputModel::new(
@@ -216,7 +263,7 @@ pub fn evaluate_point(
     SitePoint {
         sites,
         channels_per_site: channels_used,
-        tam_width: architecture.total_width(),
+        tam_width,
         test_time_cycles: cycles,
         manufacturing_test_time_s,
         expected_test_time_s,
@@ -250,7 +297,7 @@ pub fn channels_per_site(channels: usize, sites: usize, broadcast: bool) -> usiz
     }
 }
 
-fn contacted_pads(channels_per_site: usize, config: &OptimizerConfig) -> usize {
+pub(crate) fn contacted_pads(channels_per_site: usize, config: &OptimizerConfig) -> usize {
     channels_per_site
         + config.erpct.control_pins
         + config.erpct.clock_pins

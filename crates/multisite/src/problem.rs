@@ -136,22 +136,44 @@ impl OptimizerConfig {
     /// # Errors
     ///
     /// Returns [`OptimizeError::InvalidConfig`] when a yield lies outside
-    /// `0.0..=1.0`.
+    /// `0.0..=1.0`, the test clock is not a finite frequency above 0, or a
+    /// probe-station time is negative or not finite.
     pub fn validate(&self) -> Result<(), OptimizeError> {
-        if !(0.0..=1.0).contains(&self.contact_yield) {
-            return Err(OptimizeError::InvalidConfig {
-                message: format!("contact yield {} out of range 0..=1", self.contact_yield),
-            });
+        let invalid = |message: String| Err(OptimizeError::InvalidConfig { message });
+        validate_yield("contact", self.contact_yield)?;
+        validate_yield("manufacturing", self.manufacturing_yield)?;
+        let clock = self.test_cell.ate.test_clock_hz;
+        if !(clock.is_finite() && clock > 0.0) {
+            return invalid(format!("test clock {clock} Hz must be finite and above 0"));
         }
-        if !(0.0..=1.0).contains(&self.manufacturing_yield) {
-            return Err(OptimizeError::InvalidConfig {
-                message: format!(
-                    "manufacturing yield {} out of range 0..=1",
-                    self.manufacturing_yield
-                ),
-            });
+        let probe = &self.test_cell.probe;
+        for (name, time) in [
+            ("index", probe.index_time_s),
+            ("contact test", probe.contact_test_time_s),
+        ] {
+            if !(time.is_finite() && time >= 0.0) {
+                return invalid(format!(
+                    "{name} time {time} s must be finite and non-negative"
+                ));
+            }
         }
         Ok(())
+    }
+}
+
+/// Checks that a `kind` yield (`"contact"` or `"manufacturing"`) lies in
+/// `0.0..=1.0`.
+///
+/// # Errors
+///
+/// [`OptimizeError::InvalidConfig`] naming the yield otherwise.
+pub(crate) fn validate_yield(kind: &str, value: f64) -> Result<(), OptimizeError> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(OptimizeError::InvalidConfig {
+            message: format!("{kind} yield {value} out of range 0..=1"),
+        })
     }
 }
 
@@ -199,6 +221,34 @@ mod tests {
         assert!(config.validate().is_err());
         let config = OptimizerConfig::paper_section7().with_manufacturing_yield(-0.1);
         assert!(config.validate().is_err());
+    }
+
+    #[test]
+    fn clock_and_probe_times_out_of_range_fail_validation() {
+        let message = |config: OptimizerConfig| match config.validate() {
+            Err(OptimizeError::InvalidConfig { message }) => message,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        for clock in [0.0, -5.0, f64::INFINITY, f64::NAN] {
+            let mut config = OptimizerConfig::paper_section7();
+            config.test_cell.ate.test_clock_hz = clock;
+            assert!(message(config).contains("test clock"), "clock {clock}");
+        }
+        for time in [-0.1, f64::INFINITY, f64::NAN] {
+            let mut config = OptimizerConfig::paper_section7();
+            config.test_cell.probe.index_time_s = time;
+            assert!(message(config).starts_with("index time"), "index {time}");
+            let mut config = OptimizerConfig::paper_section7();
+            config.test_cell.probe.contact_test_time_s = time;
+            assert!(
+                message(config).starts_with("contact test time"),
+                "contact {time}"
+            );
+        }
+        let mut config = OptimizerConfig::paper_section7();
+        config.test_cell.probe.index_time_s = 0.0;
+        config.test_cell.probe.contact_test_time_s = 0.0;
+        assert!(config.validate().is_ok());
     }
 
     #[test]

@@ -1352,6 +1352,70 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_numbers_answer_typed_errors_not_panics() {
+        // Each frame parses (or, for the overflowing literal, fails to
+        // parse) but used to reach a panic: a non-finite response float
+        // in the cache, the throughput model's asserts, or rendering an
+        // infinite cache key.
+        let frame = |id: &str, request: OptimizeRequest| {
+            serde_json::to_string(&ClientFrame::Optimize(OptimizeFrame {
+                request_id: id.to_string(),
+                soc: SocSpec::Named("d695".into()),
+                request,
+                deadline_ms: None,
+                stats: false,
+            }))
+            .unwrap()
+        };
+        let with = |edit: fn(&mut OptimizerConfig)| {
+            let mut request = sample_request();
+            edit(&mut request.config);
+            request
+        };
+        let yields = sample_request().with_sweep(SweepAxis::ManufacturingYield {
+            max_sites: 4,
+            manufacturing_yields: vec![2.0],
+        });
+        let overflow = frame("inf", sample_request())
+            .replace("\"index_time_s\":0.1,", "\"index_time_s\":1e309,");
+        assert!(overflow.contains("1e309"), "{overflow}");
+        let lines = [
+            frame("clock0", with(|c| c.test_cell.ate.test_clock_hz = 0.0)),
+            frame("clock-", with(|c| c.test_cell.ate.test_clock_hz = -5.0)),
+            frame("index-", with(|c| c.test_cell.probe.index_time_s = -0.1)),
+            frame("yield2", yields),
+            overflow,
+        ];
+        let (frames, stats) = run_session(ServerConfig::default(), &(lines.join("\n") + "\n"));
+        assert_eq!(frames.len(), 6, "{frames:?}");
+        let errors: Vec<&ErrorFrame> = frames[..5]
+            .iter()
+            .map(|frame| match frame {
+                ServerFrame::Error(error) => error,
+                other => panic!("expected a typed error, got {other:?}"),
+            })
+            .collect();
+        for id in ["clock0", "clock-", "index-", "yield2"] {
+            let error = errors
+                .iter()
+                .find(|error| error.request_id.as_deref() == Some(id))
+                .unwrap_or_else(|| panic!("no answer for {id}: {errors:?}"));
+            assert_eq!(error.kind, ErrorKind::InvalidConfig, "{error:?}");
+        }
+        let protocol = errors
+            .iter()
+            .find(|error| error.kind == ErrorKind::Protocol)
+            .expect("the overflowing literal is a protocol error");
+        assert!(
+            protocol.message.contains("number out of range"),
+            "{protocol:?}"
+        );
+        assert!(matches!(&frames[5], ServerFrame::Bye(_)));
+        assert_eq!((stats.served, stats.errors), (0, 5));
+        assert_eq!(stats.internal_errors, 0);
+    }
+
+    #[test]
     fn unparseable_and_invalid_socs_answer_invalid_soc() {
         let input = format!(
             "{}\n{}\n",

@@ -5,9 +5,13 @@
 //! from the same engine must be identical to a fresh engine's.
 
 use soctest_ate::{AteSpec, ProbeStation, TestCell};
+use soctest_multisite::optimizer::optimize_with_table;
 use soctest_multisite::service::CancelToken;
-use soctest_multisite::{Engine, OptimizeError, OptimizeRequest, OptimizerConfig, SweepAxis};
+use soctest_multisite::{
+    AxisValue, Engine, OptimizeError, OptimizeRequest, OptimizerConfig, SweepAxis,
+};
 use soctest_soc_model::benchmarks;
+use soctest_tam::LazyTimeTable;
 use std::time::{Duration, Instant};
 
 fn request() -> OptimizeRequest {
@@ -109,4 +113,23 @@ fn mid_run_deadline_interrupts_a_cold_fill() {
     let fresh = Engine::new(&benchmarks::p93791());
     let after = engine.run(&plain).expect("engine survives interruption");
     assert_eq!(after, fresh.run(&plain).expect("fresh answers"));
+
+    // ...and left no half-built Step 1 or Step 2 plan behind: the same
+    // engine's full sweep equals the reference optimizer at every point.
+    let sweep = engine.run(&big).expect("full sweep after interruption");
+    let points = &sweep.curves().expect("a sweep answers curves")[0].points;
+    let SweepAxis::DepthVectors(depths) = &big.sweep else {
+        unreachable!("the sweep above is a depth sweep")
+    };
+    assert_eq!(points.len(), depths.len());
+    let table = LazyTimeTable::new(engine.soc(), big.needed_width());
+    for (point, &depth) in points.iter().zip(depths) {
+        let mut config = big.config;
+        config.test_cell.ate = config.test_cell.ate.with_depth(depth);
+        let reference =
+            optimize_with_table(engine.soc_name(), &table, &config).expect("reference answers");
+        assert_eq!(point.parameter, AxisValue::DepthVectors(depth));
+        assert_eq!(point.max_sites, reference.max_sites, "depth {depth}");
+        assert_eq!(point.optimal, reference.optimal, "depth {depth}");
+    }
 }

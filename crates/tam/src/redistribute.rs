@@ -33,6 +33,58 @@ pub struct Redistribution {
 ///
 /// The table's maximum width caps how far a single group can grow.
 ///
+/// This is [`Widening`] run for `extra_width` chains: the state after `e`
+/// chains is a prefix of the state after `e + 1`, which is what lets the
+/// optimizer run the loop once per Step 1 architecture and read every
+/// site count's architecture off the trajectory.
+pub fn redistribute_extra_width<T: TimeLookup + ?Sized>(
+    architecture: &TestArchitecture,
+    table: &T,
+    extra_width: usize,
+) -> Redistribution {
+    let mut arch = architecture.clone();
+    let mut widening = Widening::new(architecture);
+    let mut added = 0usize;
+    while added < extra_width {
+        let Some(chain) = widening.next_chain(architecture, table) else {
+            break; // every group is at its Pareto floor or width cap
+        };
+        chain.apply(&mut arch);
+        added += 1;
+    }
+    Redistribution {
+        architecture: arch,
+        width_added: added,
+    }
+}
+
+/// One wrapper chain handed out by the greedy redistribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chain {
+    /// Index of the widened group.
+    pub group: usize,
+    /// The group's fill at its new width.
+    pub fill: u64,
+}
+
+impl Chain {
+    /// Applies the chain to `architecture`: one more wrapper chain for
+    /// the group, and its new fill.
+    pub fn apply(&self, architecture: &mut TestArchitecture) {
+        let group = &mut architecture.groups[self.group];
+        group.width += 1;
+        group.fill_cycles = self.fill;
+    }
+}
+
+/// The greedy loop of [`redistribute_extra_width`], paused between two
+/// chains so that it can be resumed later.
+///
+/// The state holds only each group's current width and the heap of
+/// groups that may still improve; the module lists stay in the base
+/// architecture the loop was started from, which every
+/// [`Widening::next_chain`] call must pass again.
+///
 /// The fullest group is tracked with a max-heap (ties broken towards the
 /// lower group index, matching a stable descending sort), so handing out a
 /// chain costs O(log groups) instead of re-sorting all groups per chain. A
@@ -40,41 +92,75 @@ pub struct Redistribution {
 /// width — the only state its improvability depends on — can never change
 /// again, so re-examining it (as the sort-per-chain formulation did) can
 /// never change the outcome.
-pub fn redistribute_extra_width<T: TimeLookup + ?Sized>(
-    architecture: &TestArchitecture,
-    table: &T,
-    extra_width: usize,
-) -> Redistribution {
-    let mut arch = architecture.clone();
-    let mut added = 0usize;
-    // Max-heap keyed by (fill, lowest index first on equal fills).
-    let mut heap: BinaryHeap<(u64, Reverse<usize>)> = arch
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(g_idx, group)| (group.fill_cycles, Reverse(g_idx)))
-        .collect();
-    while added < extra_width {
-        let Some((fill, Reverse(g_idx))) = heap.pop() else {
-            break; // every group is at its Pareto floor or width cap
-        };
-        let group = &arch.groups[g_idx];
-        debug_assert_eq!(fill, group.fill_cycles, "heap key must track group fill");
-        if group.width + 1 > table.max_width() {
-            continue;
-        }
-        let new_fill = table.group_fill(&group.modules, group.width + 1);
-        if new_fill < fill {
-            let group = &mut arch.groups[g_idx];
-            group.width += 1;
-            group.fill_cycles = new_fill;
-            added += 1;
-            heap.push((new_fill, Reverse(g_idx)));
+#[derive(Debug, Clone)]
+pub struct Widening {
+    /// Current width of every group of the base architecture.
+    widths: Vec<usize>,
+    /// Groups that may still improve, keyed by (fill, lowest index first
+    /// on equal fills).
+    heap: BinaryHeap<(u64, Reverse<usize>)>,
+    /// The largest fill among the groups dropped from the heap.
+    dropped_fill: u64,
+}
+
+impl Widening {
+    /// The loop before its first chain, over `base`'s groups.
+    pub fn new(base: &TestArchitecture) -> Self {
+        Widening {
+            widths: base.groups.iter().map(|group| group.width).collect(),
+            heap: base
+                .groups
+                .iter()
+                .enumerate()
+                .map(|(g_idx, group)| (group.fill_cycles, Reverse(g_idx)))
+                .collect(),
+            dropped_fill: 0,
         }
     }
-    Redistribution {
-        architecture: arch,
-        width_added: added,
+
+    /// Hands the next wrapper chain to the fullest group that improves,
+    /// or returns `None` when no group can improve any further (each is
+    /// at its Pareto floor or at the table's width cap); the loop stays
+    /// finished after that.
+    ///
+    /// `base` must be the architecture the loop was started from.
+    pub fn next_chain<T: TimeLookup + ?Sized>(
+        &mut self,
+        base: &TestArchitecture,
+        table: &T,
+    ) -> Option<Chain> {
+        while let Some((fill, Reverse(g_idx))) = self.heap.pop() {
+            let width = self.widths[g_idx] + 1;
+            if width <= table.max_width() {
+                let new_fill = table.group_fill(&base.groups[g_idx].modules, width);
+                if new_fill < fill {
+                    self.widths[g_idx] = width;
+                    self.heap.push((new_fill, Reverse(g_idx)));
+                    return Some(Chain {
+                        group: g_idx,
+                        fill: new_fill,
+                    });
+                }
+            }
+            self.dropped_fill = self.dropped_fill.max(fill);
+        }
+        None
+    }
+
+    /// The SOC test time the chains handed out so far have reached: the
+    /// fill of the fullest group.
+    pub fn test_time_cycles(&self) -> u64 {
+        self.heap
+            .peek()
+            .map_or(0, |&(fill, _)| fill)
+            .max(self.dropped_fill)
+    }
+
+    /// Estimated resident bytes of the paused state.
+    pub fn memory_bytes(&self) -> u64 {
+        let widths = self.widths.capacity() * std::mem::size_of::<usize>();
+        let heap = self.heap.capacity() * std::mem::size_of::<(u64, Reverse<usize>)>();
+        (std::mem::size_of::<Self>() + widths + heap) as u64
     }
 }
 
@@ -143,6 +229,27 @@ mod tests {
         let result = redistribute_extra_width(&arch, &table, 0);
         assert_eq!(result.architecture, arch);
         assert_eq!(result.width_added, 0);
+    }
+
+    #[test]
+    fn resumed_widening_reaches_every_prefix_of_the_redistribution() {
+        let (table, arch, _) = base();
+        let mut widening = Widening::new(&arch);
+        assert_eq!(widening.test_time_cycles(), arch.test_time_cycles());
+        let mut widened = arch.clone();
+        let mut saturated = false;
+        for extra in 1..=200 {
+            match widening.next_chain(&arch, &table) {
+                Some(chain) => chain.apply(&mut widened),
+                None => saturated = true,
+            }
+            let reference = redistribute_extra_width(&arch, &table, extra).architecture;
+            assert_eq!(widened, reference, "extra {extra}");
+            assert_eq!(widening.test_time_cycles(), reference.test_time_cycles());
+        }
+        // 200 chains exceed what d695's groups can absorb at width 128.
+        assert!(saturated);
+        assert_eq!(widening.next_chain(&arch, &table), None);
     }
 
     #[test]
