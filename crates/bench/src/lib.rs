@@ -1,12 +1,15 @@
-//! Shared helpers for the benchmark harness.
+//! The Section 7 experiment parameters, shared by every consumer.
 //!
-//! Every figure and table of the paper's evaluation section (Section 7) has
-//! a dedicated binary in `src/bin/` that regenerates it, and the
-//! `perf_baseline` binary times the underlying algorithms. This library
-//! crate holds the experiment parameters they all share, so that the PNX8550
-//! stand-in, the target ATE and the probe station are configured in exactly
-//! one place. (`soctest-experiments` reuses the same parameters for its
-//! dense-grid artifact regeneration.)
+//! This library crate configures the PNX8550 stand-in, the target ATE, the
+//! probe station and the paper's own sweep grids in exactly one place.
+//! `soctest-experiments` regenerates and golden-checks every figure and
+//! table from them on 4x-denser grids (`soctest-repro`), the service
+//! benchmark in `perfbench/` builds its workloads on them, and
+//! `tests/baseline_gates.rs` runs the fast-path bit-identity and
+//! speed-ratio gates on the four-figure batch they define. Two binaries
+//! print the analyses no golden artifact carries: `cost_analysis` (the
+//! Section 7 memory-versus-channels cost comparison) and `mc_validation`
+//! (a Monte-Carlo check of the analytic throughput model).
 //!
 //! # Example
 //!

@@ -1,9 +1,9 @@
 //! Regeneration of the paper's Figure 5, 6 and 7 artifacts on dense grids.
 //!
 //! Each function runs the corresponding Section 7 experiment on the
-//! PNX8550 stand-in — the same experiment as the seed binaries in
-//! `soctest-bench`, but on the 4x-denser grids of [`crate::grids`] — and
-//! renders the result as an [`Artifact`] (JSON + markdown).
+//! PNX8550 stand-in — on the 4x-denser grids of [`crate::grids`] rather
+//! than the paper's own — and renders the result as an [`Artifact`]
+//! (JSON + markdown).
 //!
 //! All experiments are served by the session-oriented
 //! [`soctest_multisite::engine::Engine`]: each generator builds one engine

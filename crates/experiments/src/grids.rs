@@ -1,12 +1,10 @@
 //! Dense parameter grids for the reproduction driver.
 //!
-//! The seed binaries in `soctest-bench` sweep the paper's figures on the
-//! paper's own (coarse) grids — 9 channel counts, 10 depths, 11 depths per
-//! Table 1 SOC. With the incremental row kernel the optimizer is cheap
-//! enough to run the same sweeps at 4x the grid density, which is what the
-//! committed `artifacts/` are generated from. The seed grids in
-//! [`soctest_bench`] are left untouched so the original paper parameters
-//! remain available verbatim.
+//! The paper sweeps its figures on coarse grids — 9 channel counts, 10
+//! depths, 11 depths per Table 1 SOC — which [`soctest_bench`] keeps
+//! verbatim. With the incremental row kernel the optimizer is cheap enough
+//! to run the same sweeps at 4x the grid density over the same ranges,
+//! which is what the committed `artifacts/` are generated from.
 
 use soctest_ate::spec::MEGA_VECTORS;
 use soctest_soc_model::benchmarks::{d695, p22810, p34392, p93791};

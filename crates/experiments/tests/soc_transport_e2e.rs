@@ -198,7 +198,7 @@ fn sock_path(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn concurrent_clients_replay_bit_identical_to_stdin_mode() {
-    // Two clients, every request a distinct SOC: neither cross-connection
+    // Four clients, every request a distinct SOC: neither cross-connection
     // nor intra-connection execution order can leak into the warm/cached
     // flags (requests from *one* connection pipeline across executors by
     // design — only response delivery is ordered). Every client's non-Bye
@@ -206,57 +206,70 @@ fn concurrent_clients_replay_bit_identical_to_stdin_mode() {
     // for byte, at one executor and at four. The warm/cached *progression*
     // of a repeated request is covered at a single executor in
     // `sample_session_over_the_socket_matches_the_committed_transcript`.
-    let input_a = format!(
-        "{}\n{}\n",
-        d695_line("a1"),
-        tiny_soc_line("a2", "tiny_a", 3)
-    );
-    let input_b = format!(
-        "{}\n{}\n",
-        tiny_soc_line("b1", "tiny_b1", 4),
-        tiny_soc_line("b2", "tiny_b2", 5)
-    );
-    let baseline_a = run_stdin_mode(&[], &input_a);
-    let baseline_b = run_stdin_mode(&[], &input_b);
+    let inputs = [
+        format!(
+            "{}\n{}\n",
+            d695_line("a1"),
+            tiny_soc_line("a2", "tiny_a", 3)
+        ),
+        format!(
+            "{}\n{}\n",
+            tiny_soc_line("b1", "tiny_b1", 4),
+            tiny_soc_line("b2", "tiny_b2", 5)
+        ),
+        format!(
+            "{}\n{}\n",
+            tiny_soc_line("c1", "tiny_c1", 6),
+            tiny_soc_line("c2", "tiny_c2", 7)
+        ),
+        format!(
+            "{}\n{}\n",
+            tiny_soc_line("d1", "tiny_d1", 8),
+            tiny_soc_line("d2", "tiny_d2", 9)
+        ),
+    ];
+    let baselines: Vec<String> = inputs
+        .iter()
+        .map(|input| run_stdin_mode(&[], input))
+        .collect();
     for executors in ["1", "4"] {
         let sock = sock_path(&format!("bitident-{executors}"));
         let server =
             ListeningServer::spawn(&["--listen", sock.to_str().unwrap(), "--executors", executors]);
         let addr = server.addr.clone();
-        let (out_a, out_b) = std::thread::scope(|scope| {
-            let a = scope.spawn(|| run_client(&addr, &input_a, &[]));
-            let b = scope.spawn(|| run_client(&addr, &input_b, &[]));
-            (a.join().expect("client a"), b.join().expect("client b"))
+        let outputs: Vec<(String, i32)> = std::thread::scope(|scope| {
+            let clients: Vec<_> = inputs
+                .iter()
+                .map(|input| scope.spawn(|| run_client(&addr, input, &[])))
+                .collect();
+            clients
+                .into_iter()
+                .map(|client| client.join().expect("client thread"))
+                .collect()
         });
-        assert_eq!(out_a.1, 0, "client a exits clean");
-        assert_eq!(out_b.1, 0, "client b exits clean");
-        assert_eq!(
-            non_bye(&out_a.0),
-            non_bye(&baseline_a),
-            "client a bit-identical at --executors {executors}"
-        );
-        assert_eq!(
-            non_bye(&out_b.0),
-            non_bye(&baseline_b),
-            "client b bit-identical at --executors {executors}"
-        );
-        // The Bye frames are connection-scoped: each counts its own two
-        // requests and carries its own identity.
-        for out in [&out_a.0, &out_b.0] {
+        for (client, ((out, code), baseline)) in outputs.iter().zip(&baselines).enumerate() {
+            assert_eq!(*code, 0, "client {client} exits clean");
+            assert_eq!(
+                non_bye(out),
+                non_bye(baseline),
+                "client {client} bit-identical at --executors {executors}"
+            );
+            // The Bye frames are connection-scoped: each counts its own
+            // two requests and carries its own identity.
             match parse_transcript(out).pop().expect("a final frame") {
                 ServerFrame::Bye(stats) => {
                     assert_eq!(stats.served, 2);
                     assert_eq!(stats.errors, 0);
                     let connection = stats.connection.expect("socket Bye has identity");
                     assert_eq!(connection.requests, 2);
-                    assert!(connection.id >= 1 && connection.id <= 2, "{connection:?}");
+                    assert!(connection.id >= 1 && connection.id <= 4, "{connection:?}");
                 }
                 other => panic!("expected Bye, got {other:?}"),
             }
         }
         let summary = server.drain();
-        assert!(summary.contains("2 connection(s)"), "{summary}");
-        assert!(summary.contains("4 served"), "{summary}");
+        assert!(summary.contains("4 connection(s)"), "{summary}");
+        assert!(summary.contains("8 served"), "{summary}");
     }
 }
 

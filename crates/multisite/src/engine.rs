@@ -1201,7 +1201,10 @@ impl Engine {
     /// Figure 6(a): one optimization per ATE channel count.
     ///
     /// An all-zero (or empty) channel list yields no points — the legacy
-    /// `channel_sweep` contract.
+    /// `channel_sweep` contract. Otherwise each point answers what the
+    /// plain request for its effective config answers, a zero count
+    /// included: the swept field is set directly, not through the
+    /// asserting `AteSpec::with_channels`.
     fn channel_points<L: TimeLookup + Sync + ?Sized>(
         &self,
         table: &L,
@@ -1209,13 +1212,13 @@ impl Engine {
         config: &OptimizerConfig,
         channel_counts: &[usize],
     ) -> Result<Vec<SweepPoint>, OptimizeError> {
-        if channel_counts.iter().copied().max().unwrap_or(0) == 0 {
+        if channel_counts.iter().all(|&channels| channels == 0) {
             return Ok(Vec::new());
         }
         self.map_points(channel_counts, |&channels| {
             Engine::check_token(token)?;
             let mut cfg = *config;
-            cfg.test_cell.ate = cfg.test_cell.ate.with_channels(channels);
+            cfg.test_cell.ate.channels = channels;
             self.point_solution(table, &cfg).map(|solution| SweepPoint {
                 parameter: AxisValue::Channels(channels),
                 max_sites: solution.max_sites,
@@ -1224,7 +1227,9 @@ impl Engine {
         })
     }
 
-    /// Figure 6(b): one optimization per vector-memory depth.
+    /// Figure 6(b): one optimization per vector-memory depth. As in
+    /// `channel_points`, a zero depth answers what the plain request for
+    /// it answers.
     fn depth_points<L: TimeLookup + Sync + ?Sized>(
         &self,
         table: &L,
@@ -1235,7 +1240,7 @@ impl Engine {
         self.map_points(depths, |&depth| {
             Engine::check_token(token)?;
             let mut cfg = *config;
-            cfg.test_cell.ate = cfg.test_cell.ate.with_depth(depth);
+            cfg.test_cell.ate.vector_memory_depth = depth;
             self.point_solution(table, &cfg).map(|solution| SweepPoint {
                 parameter: AxisValue::DepthVectors(depth),
                 max_sites: solution.max_sites,

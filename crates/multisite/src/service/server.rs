@@ -1100,8 +1100,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{OptimizeRequest, SweepAxis};
+    use crate::engine::{OptimizeRequest, OptimizeResponse, SweepAxis};
     use crate::problem::OptimizerConfig;
+    use crate::sweep::SweepCurve;
     use soctest_ate::{AteSpec, ProbeStation, TestCell};
     use std::io::Cursor;
 
@@ -1134,6 +1135,18 @@ mod tests {
             ProbeStation::paper_probe_station(),
         );
         OptimizeRequest::new(OptimizerConfig::new(cell))
+    }
+
+    /// A d695 frame carrying `request` as given.
+    fn d695_frame(request_id: &str, request: OptimizeRequest) -> String {
+        serde_json::to_string(&ClientFrame::Optimize(OptimizeFrame {
+            request_id: request_id.to_string(),
+            soc: SocSpec::Named("d695".into()),
+            request,
+            deadline_ms: None,
+            stats: false,
+        }))
+        .unwrap()
     }
 
     fn optimize_line(request_id: &str, soc: SocSpec, deadline_ms: Option<u64>) -> String {
@@ -1357,16 +1370,6 @@ mod tests {
         // parse) but used to reach a panic: a non-finite response float
         // in the cache, the throughput model's asserts, or rendering an
         // infinite cache key.
-        let frame = |id: &str, request: OptimizeRequest| {
-            serde_json::to_string(&ClientFrame::Optimize(OptimizeFrame {
-                request_id: id.to_string(),
-                soc: SocSpec::Named("d695".into()),
-                request,
-                deadline_ms: None,
-                stats: false,
-            }))
-            .unwrap()
-        };
         let with = |edit: fn(&mut OptimizerConfig)| {
             let mut request = sample_request();
             edit(&mut request.config);
@@ -1376,14 +1379,14 @@ mod tests {
             max_sites: 4,
             manufacturing_yields: vec![2.0],
         });
-        let overflow = frame("inf", sample_request())
+        let overflow = d695_frame("inf", sample_request())
             .replace("\"index_time_s\":0.1,", "\"index_time_s\":1e309,");
         assert!(overflow.contains("1e309"), "{overflow}");
         let lines = [
-            frame("clock0", with(|c| c.test_cell.ate.test_clock_hz = 0.0)),
-            frame("clock-", with(|c| c.test_cell.ate.test_clock_hz = -5.0)),
-            frame("index-", with(|c| c.test_cell.probe.index_time_s = -0.1)),
-            frame("yield2", yields),
+            d695_frame("clock0", with(|c| c.test_cell.ate.test_clock_hz = 0.0)),
+            d695_frame("clock-", with(|c| c.test_cell.ate.test_clock_hz = -5.0)),
+            d695_frame("index-", with(|c| c.test_cell.probe.index_time_s = -0.1)),
+            d695_frame("yield2", yields),
             overflow,
         ];
         let (frames, stats) = run_session(ServerConfig::default(), &(lines.join("\n") + "\n"));
@@ -1412,6 +1415,78 @@ mod tests {
         );
         assert!(matches!(&frames[5], ServerFrame::Bye(_)));
         assert_eq!((stats.served, stats.errors), (0, 5));
+        assert_eq!(stats.internal_errors, 0);
+    }
+
+    #[test]
+    fn zero_channel_and_zero_depth_sweep_points_answer_like_plain_requests() {
+        // A sweep point with a zero channel count or a zero depth used to
+        // reach the asserting `AteSpec` setters and answer `Internal`.
+        // Each sweep must answer exactly what the plain request for its
+        // first failing point answers in the same session.
+        let depth = sample_request().config.test_cell.ate.vector_memory_depth;
+        let with_ate = |channels: usize, depth: u64| {
+            let mut request = sample_request();
+            request.config.test_cell.ate.channels = channels;
+            request.config.test_cell.ate.vector_memory_depth = depth;
+            request
+        };
+        let lines = [
+            d695_frame("depth0", with_ate(256, 0)),
+            d695_frame("channels0", with_ate(0, depth)),
+            d695_frame(
+                "sweep-depths",
+                sample_request().with_sweep(SweepAxis::DepthVectors(vec![0, depth])),
+            ),
+            d695_frame(
+                "sweep-channels",
+                sample_request().with_sweep(SweepAxis::Channels(vec![0, 256])),
+            ),
+            d695_frame(
+                "sweep-on-channels0",
+                with_ate(0, depth).with_sweep(SweepAxis::DepthVectors(vec![depth])),
+            ),
+            d695_frame(
+                "all-zero",
+                sample_request().with_sweep(SweepAxis::Channels(vec![0, 0])),
+            ),
+        ];
+        let (frames, stats) = run_session(ServerConfig::default(), &(lines.join("\n") + "\n"));
+        assert_eq!(frames.len(), 7, "{frames:?}");
+        let answer = |id: &str| {
+            frames
+                .iter()
+                .find(|frame| match frame {
+                    ServerFrame::Result(result) => result.request_id == id,
+                    ServerFrame::Error(error) => error.request_id.as_deref() == Some(id),
+                    ServerFrame::Bye(_) => false,
+                })
+                .unwrap_or_else(|| panic!("no answer for {id}: {frames:?}"))
+        };
+        let error = |id: &str| match answer(id) {
+            ServerFrame::Error(error) => (error.kind, error.message.clone()),
+            other => panic!("expected a typed error for {id}, got {other:?}"),
+        };
+        for (sweep, plain) in [
+            ("sweep-depths", "depth0"),
+            ("sweep-channels", "channels0"),
+            ("sweep-on-channels0", "channels0"),
+        ] {
+            assert_ne!(error(plain).0, ErrorKind::Internal, "{plain}");
+            assert_eq!(error(sweep), error(plain), "{sweep} answers like {plain}");
+        }
+        match answer("all-zero") {
+            ServerFrame::Result(result) => assert_eq!(
+                result.response,
+                OptimizeResponse::Curves(vec![SweepCurve {
+                    label: "channels".to_string(),
+                    points: Vec::new(),
+                }])
+            ),
+            other => panic!("expected one empty curve, got {other:?}"),
+        }
+        assert!(matches!(&frames[6], ServerFrame::Bye(_)));
+        assert_eq!((stats.served, stats.errors), (1, 5));
         assert_eq!(stats.internal_errors, 0);
     }
 

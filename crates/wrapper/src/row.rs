@@ -254,7 +254,8 @@ pub fn test_time_row(module: &Module, max_width: usize) -> Vec<u64> {
 /// landed, kept as the validation baseline: the property tests in
 /// `tests/proptest_incremental_row.rs` prove `test_time_row` bit-identical
 /// to this loop over random module shapes and the full width range, and
-/// `perf_baseline` measures the incremental path against it.
+/// `crates/bench/tests/baseline_gates.rs` checks the two equal on every
+/// module of the PNX8550 stand-in.
 ///
 /// # Panics
 ///

@@ -15,12 +15,12 @@
 //!    [`throughput`]) or cross-check the predicted throughput with the
 //!    Monte-Carlo wafer-flow simulator ([`wafersim`]).
 //!
-//! Two sibling crates are not re-exported here: `soctest-bench` (the seed
-//! figure/table binaries and the `perf_baseline` runner) and
-//! `soctest-experiments` (the `soctest-repro` driver that regenerates the
-//! committed paper artifacts under `artifacts/`). `docs/PAPER_MAP.md` in
-//! the repository maps every paper section, equation, figure and table to
-//! the module implementing it.
+//! Two sibling crates are not re-exported here: `soctest-bench` (the
+//! Section 7 experiment parameters, the cost and Monte-Carlo analyses and
+//! the baseline gate tests) and `soctest-experiments` (the `soctest-repro`
+//! driver that regenerates the committed paper artifacts under
+//! `artifacts/`). `docs/PAPER_MAP.md` in the repository maps every paper
+//! section, equation, figure and table to the module implementing it.
 //!
 //! # Quickstart
 //!
