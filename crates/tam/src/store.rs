@@ -43,6 +43,26 @@
 //! compacts by: when the serialized store exceeds its byte bound, the
 //! coldest rows are dropped until the file fits.
 //!
+//! # Resident layout
+//!
+//! One resident row is a single `Arc` allocation holding the canonical
+//! key as a `Box<[u8]>` (32 bytes of header words plus 8 per scan chain),
+//! its cells as one exact-size `Box<[(width, time)]>` sorted by width
+//! behind the row's mutex, the touch stamp, and a handle to the store's
+//! cell gauge. [`StoreRow::get`] binary-searches the slice; a first
+//! [`StoreRow::insert`] copies it into a slice one cell longer, and
+//! [`RowStore::load`] merges a file row's sorted cells into one new
+//! slice. The map holds one `Arc` per content hash. On a `new_designs`
+//! benchmark run (about 13 cells per row) that is about 34 bytes per
+//! resident cell; the earlier layout — a `Mutex<BTreeMap<u64, u64>>` per
+//! row, a `Vec` bucket per hash and a `Vec<u8>` key — cost about 71.
+//!
+//! A row whose hash is already taken by a row with a different key goes
+//! in a side list, where lookups match it by its full key, so a hash
+//! collision yields two distinct rows that never see each other's cells.
+//! The resident store never shrinks: `save_capped` bounds the file, not
+//! memory.
+//!
 //! The envelope (magic + version + checksummed payload + atomic rename)
 //! is shared with the service's `solutions.v1` file through
 //! [`seal_envelope`], [`open_envelope`] and [`write_atomic`].
@@ -55,7 +75,7 @@
 //! row (`crates/tam/tests/row_store_corruption.rs`).
 
 use soctest_wrapper::row::ModuleShape;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -119,21 +139,24 @@ impl From<io::Error> for StoreError {
 /// table that resolved it, and the persistence layer.
 #[derive(Debug)]
 pub struct StoreRow {
-    hash: u64,
-    key: Vec<u8>,
-    cells: Mutex<BTreeMap<u64, u64>>,
+    key: Box<[u8]>,
+    /// Cells sorted by ascending width, one exact-size allocation.
+    cells: Mutex<Box<[(u64, u64)]>>,
     /// Last [`TOUCH_CLOCK`] tick that read or wrote this row — the
     /// recency [`RowStore::save_capped`] compacts by.
     touch: AtomicU64,
+    /// The owning store's resident-cell gauge, bumped on every cell this
+    /// row gains.
+    resident_cells: Arc<AtomicU64>,
 }
 
 impl StoreRow {
-    fn new(hash: u64, key: Vec<u8>) -> Self {
+    fn new(key: Vec<u8>, resident_cells: Arc<AtomicU64>) -> Self {
         StoreRow {
-            hash,
-            key,
-            cells: Mutex::new(BTreeMap::new()),
+            key: key.into_boxed_slice(),
+            cells: Mutex::new(Box::default()),
             touch: AtomicU64::new(0),
+            resident_cells,
         }
     }
 
@@ -147,7 +170,9 @@ impl StoreRow {
     /// The cached time at `width`, if any earlier computation produced it.
     pub fn get(&self, width: usize) -> Option<u64> {
         self.touch_now();
-        lock(&self.cells).get(&(width as u64)).copied()
+        let cells = lock(&self.cells);
+        let at = cells.binary_search_by_key(&(width as u64), |&(w, _)| w);
+        at.ok().map(|at| cells[at].1)
     }
 
     /// Records `time` at `width`; returns `true` iff the cell was absent.
@@ -155,7 +180,44 @@ impl StoreRow {
     /// value, so the "loser" changes nothing.
     pub fn insert(&self, width: usize, time: u64) -> bool {
         self.touch_now();
-        lock(&self.cells).insert(width as u64, time).is_none()
+        let width = width as u64;
+        let mut cells = lock(&self.cells);
+        let Err(at) = cells.binary_search_by_key(&width, |&(w, _)| w) else {
+            return false;
+        };
+        let mut grown = Vec::with_capacity(cells.len() + 1);
+        grown.extend_from_slice(&cells[..at]);
+        grown.push((width, time));
+        grown.extend_from_slice(&cells[at..]);
+        *cells = grown.into_boxed_slice();
+        self.resident_cells.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Merges `loaded` (sorted by width, widths distinct) into the row in
+    /// one allocation; resident cells win ties. Returns the cells added.
+    fn merge(&self, loaded: Vec<(u64, u64)>) -> u64 {
+        let mut cells = lock(&self.cells);
+        let merged = if cells.is_empty() {
+            loaded
+        } else {
+            let mut merged = Vec::with_capacity(cells.len() + loaded.len());
+            let mut resident = cells.iter().copied().peekable();
+            for cell in loaded {
+                merged.extend(std::iter::from_fn(|| resident.next_if(|r| r.0 < cell.0)));
+                if resident.peek().is_none_or(|r| r.0 != cell.0) {
+                    merged.push(cell);
+                }
+            }
+            merged.extend(resident);
+            merged
+        };
+        let added = (merged.len() - cells.len()) as u64;
+        if added > 0 {
+            *cells = merged.into_boxed_slice();
+            self.resident_cells.fetch_add(added, Ordering::Relaxed);
+        }
+        added
     }
 
     /// Number of cells resident in this row.
@@ -213,10 +275,28 @@ impl RowStoreStats {
 /// See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct RowStore {
-    rows: Mutex<HashMap<u64, Vec<Arc<StoreRow>>>>,
+    rows: Mutex<ResidentRows>,
+    /// Gauges behind [`RowStore::stats`]: rows created, and cells first
+    /// inserted or merged (shared with every row).
+    resident_rows: AtomicU64,
+    resident_cells: Arc<AtomicU64>,
     cells_computed: AtomicU64,
     cells_served: AtomicU64,
     cells_loaded: AtomicU64,
+}
+
+/// The resident rows: one per content hash, plus the rare rows whose hash
+/// an earlier row with a different key already holds.
+#[derive(Debug, Default)]
+struct ResidentRows {
+    by_hash: HashMap<u64, Arc<StoreRow>>,
+    collided: Vec<Arc<StoreRow>>,
+}
+
+impl ResidentRows {
+    fn iter(&self) -> impl Iterator<Item = &Arc<StoreRow>> {
+        self.by_hash.values().chain(&self.collided)
+    }
 }
 
 impl RowStore {
@@ -228,20 +308,30 @@ impl RowStore {
     /// The resident row for `shape`, created empty if absent. The handle
     /// is shared: every table resolving an equal shape gets the same row.
     pub fn row_for_shape(&self, shape: &ModuleShape) -> Arc<StoreRow> {
-        self.row_for_key(shape.content_hash(), || shape.content_key())
+        let key = shape.content_key();
+        self.row_for_key(fnv1a64(&key), key)
     }
 
-    /// Get-or-create by `(hash, key)`; `make_key` runs only when a new
-    /// row (or a collision check) needs the full key bytes.
-    fn row_for_key(&self, hash: u64, make_key: impl FnOnce() -> Vec<u8>) -> Arc<StoreRow> {
+    /// Get-or-create by `(hash, key)`: the row under `hash` if its key is
+    /// `key`, else a side-list row with that key, else a new row.
+    fn row_for_key(&self, hash: u64, key: Vec<u8>) -> Arc<StoreRow> {
         let mut rows = lock(&self.rows);
-        let bucket = rows.entry(hash).or_default();
-        let key = make_key();
-        if let Some(row) = bucket.iter().find(|row| row.key == key) {
-            return Arc::clone(row);
+        let ResidentRows { by_hash, collided } = &mut *rows;
+        let holder = by_hash.entry(hash);
+        if let Entry::Occupied(holder) = &holder {
+            let mut candidates = std::iter::once(holder.get()).chain(collided.iter());
+            if let Some(row) = candidates.find(|row| *row.key == *key) {
+                return Arc::clone(row);
+            }
         }
-        let row = Arc::new(StoreRow::new(hash, key));
-        bucket.push(Arc::clone(&row));
+        let row = Arc::new(StoreRow::new(key, Arc::clone(&self.resident_cells)));
+        match holder {
+            Entry::Occupied(_) => collided.push(Arc::clone(&row)),
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::clone(&row));
+            }
+        }
+        self.resident_rows.fetch_add(1, Ordering::Relaxed);
         row
     }
 
@@ -257,20 +347,16 @@ impl RowStore {
         self.cells_served.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current counters.
+    /// Current counters: relaxed loads of running gauges, O(1) however
+    /// many rows are resident.
     pub fn stats(&self) -> RowStoreStats {
-        let rows = lock(&self.rows);
-        let mut stats = RowStoreStats {
+        RowStoreStats {
+            rows: self.resident_rows.load(Ordering::Relaxed),
+            cells: self.resident_cells.load(Ordering::Relaxed),
             cells_computed: self.cells_computed.load(Ordering::Relaxed),
             cells_served: self.cells_served.load(Ordering::Relaxed),
             cells_loaded: self.cells_loaded.load(Ordering::Relaxed),
-            ..RowStoreStats::default()
-        };
-        for row in rows.values().flatten() {
-            stats.rows += 1;
-            stats.cells += row.len() as u64;
         }
-        stats
     }
 
     /// Merges every row of the `rows.v1` file at `path` into the store
@@ -287,12 +373,8 @@ impl RowStore {
         let parsed = parse_rows_file(&bytes)?;
         let mut merged = 0u64;
         for (hash, key, cells) in parsed {
-            let row = self.row_for_key(hash, || key);
-            for (width, time) in cells {
-                if row.insert(width as usize, time) {
-                    merged += 1;
-                }
-            }
+            let row = self.row_for_key(hash, key);
+            merged += row.merge(cells);
             // Replay the file's recency: rows are stored coldest first,
             // so touching in file order restores the save-time ordering.
             row.touch_now();
@@ -342,26 +424,25 @@ impl RowStore {
         // Snapshot rows (touch + cells) up front so a concurrently
         // growing row cannot desync the size accounting from the bytes
         // actually serialized.
-        type RowSnapshot = (u64, u64, Vec<u8>, BTreeMap<u64, u64>);
-        let rows: Vec<Arc<StoreRow>> = lock(&self.rows).values().flatten().cloned().collect();
+        type RowSnapshot<'a> = (u64, u64, &'a [u8], Box<[(u64, u64)]>);
+        let rows: Vec<Arc<StoreRow>> = lock(&self.rows).iter().cloned().collect();
         let mut snapshot: Vec<RowSnapshot> = rows
             .iter()
             .map(|row| {
                 (
                     row.touch.load(Ordering::Relaxed),
-                    row.hash,
-                    row.key.clone(),
+                    fnv1a64(&row.key),
+                    &*row.key,
                     lock(&row.cells).clone(),
                 )
             })
             .collect();
-        drop(rows);
         // Coldest first; (hash, key) tiebreak keeps saves deterministic.
-        snapshot.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
+        snapshot.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
 
         // Envelope overhead: magic + version + row count + checksum.
         let overhead = (MAGIC.len() + 1 + 8 + 8) as u64;
-        let row_cost = |key: &Vec<u8>, cells: &BTreeMap<u64, u64>| {
+        let row_cost = |key: &[u8], cells: &[(u64, u64)]| {
             8 + 8 + key.len() as u64 + 8 + 16 * cells.len() as u64
         };
         let mut total = overhead
@@ -384,7 +465,7 @@ impl RowStore {
                 push_u64(out, key.len() as u64);
                 out.extend_from_slice(key);
                 push_u64(out, cells.len() as u64);
-                for (&width, &time) in cells {
+                for &(width, time) in cells.iter() {
                     push_u64(out, width);
                     push_u64(out, time);
                 }
@@ -575,6 +656,13 @@ fn parse_rows_file(bytes: &[u8]) -> Result<Vec<(u64, Vec<u8>, Vec<(u64, u64)>)>,
             }
             cells.push((width, time));
         }
+        // Saves write each row's widths strictly ascending. A file that
+        // does not is put in that order, and its first cell at a repeated
+        // width wins, as cell-by-cell inserts would have it.
+        if !cells.is_sorted_by(|a, b| a.0 < b.0) {
+            cells.sort_by_key(|&(width, _)| width);
+            cells.dedup_by_key(|&mut (width, _)| width);
+        }
         rows.push((hash, key, cells));
     }
     if cursor.remaining() != 0 {
@@ -733,6 +821,138 @@ mod tests {
         );
         fs::remove_file(&path).unwrap();
         fs::remove_file(&again).unwrap();
+    }
+
+    /// `(rows, cells)` counted the slow way: a walk over every resident row.
+    fn walked(store: &RowStore) -> (u64, u64) {
+        lock(&store.rows).iter().fold((0, 0), |(rows, cells), row| {
+            (rows + 1, cells + row.len() as u64)
+        })
+    }
+
+    fn scratch_file(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("soctest-rowstore-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    #[test]
+    fn colliding_keys_become_distinct_rows() {
+        let store = RowStore::new();
+        let a = store.row_for_key(42, b"key a".to_vec());
+        let b = store.row_for_key(42, b"key b".to_vec());
+        assert!(!Arc::ptr_eq(&a, &b), "one hash, two keys: two rows");
+        assert!(Arc::ptr_eq(&a, &store.row_for_key(42, b"key a".to_vec())));
+        assert!(Arc::ptr_eq(&b, &store.row_for_key(42, b"key b".to_vec())));
+
+        assert!(a.insert(3, 30));
+        assert!(b.insert(5, 50));
+        assert!(b.insert(3, 31));
+        assert_eq!(a.get(5), None, "a row never sees its twin's cells");
+        assert_eq!(
+            (a.get(3), b.get(3), b.get(5)),
+            (Some(30), Some(31), Some(50))
+        );
+        let stats = store.stats();
+        assert_eq!((stats.rows, stats.cells), (2, 3));
+        assert_eq!(walked(&store), (2, 3));
+
+        // Both rows are saved, each under its key's own hash, so both load.
+        let path = scratch_file("collided.rows.v1");
+        assert_eq!(store.save(&path).unwrap(), 2);
+        let reloaded = RowStore::new();
+        assert_eq!(reloaded.load(&path).unwrap(), 3);
+        let a = reloaded.row_for_key(fnv1a64(b"key a"), b"key a".to_vec());
+        let b = reloaded.row_for_key(fnv1a64(b"key b"), b"key b".to_vec());
+        assert_eq!(
+            (a.get(3), a.get(5), b.get(3), b.get(5)),
+            (Some(30), None, Some(31), Some(50))
+        );
+        assert_eq!(reloaded.stats().rows, 2);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn gauges_equal_a_full_walk_after_threads_and_a_load() {
+        let store = RowStore::new();
+        std::thread::scope(|scope| {
+            for thread in 0..4usize {
+                let store = &store;
+                scope.spawn(move || {
+                    for p in 1..=6u64 {
+                        let row = store.row_for_shape(&shape(p, &[4, 2]));
+                        // Shared widths race; width 10 + thread is private.
+                        for width in (1..=8).chain([10 + thread]) {
+                            row.insert(width, p * 100 + width as u64);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = store.stats();
+        assert_eq!((stats.rows, stats.cells), (6, 6 * 12));
+        assert_eq!(walked(&store), (stats.rows, stats.cells));
+
+        let path = scratch_file("gauges.rows.v1");
+        store.save(&path).unwrap();
+        let other = RowStore::new();
+        other.row_for_shape(&shape(3, &[4, 2])).insert(1, 301);
+        other.row_for_shape(&shape(9, &[1])).insert(2, 7);
+        assert_eq!(other.load(&path).unwrap(), 6 * 12 - 1);
+        let stats = other.stats();
+        assert_eq!(
+            (stats.rows, stats.cells, stats.cells_loaded),
+            (7, 6 * 12 + 1, 71)
+        );
+        assert_eq!(walked(&other), (stats.rows, stats.cells));
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn load_merges_sorted_cells_and_resident_cells_win() {
+        let path = scratch_file("merge.rows.v1");
+        let saved = RowStore::new();
+        let row = saved.row_for_shape(&shape(5, &[4, 2]));
+        for (width, time) in [(9, 90), (1, 10), (4, 40)] {
+            row.insert(width, time);
+        }
+        saved.save(&path).unwrap();
+
+        let store = RowStore::new();
+        let row = store.row_for_shape(&shape(5, &[4, 2]));
+        row.insert(6, 60);
+        row.insert(4, 999);
+        assert_eq!(store.load(&path).unwrap(), 2, "width 4 was resident");
+        assert_eq!(
+            **lock(&row.cells),
+            [(1, 10), (4, 999), (6, 60), (9, 90)],
+            "one sorted slice, resident value kept"
+        );
+        assert_eq!(store.stats().cells, 4);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn out_of_order_file_cells_load_as_cell_by_cell_inserts_would() {
+        let key = shape(5, &[4, 2]).content_key();
+        let bytes = seal_envelope(MAGIC, VERSION, |out| {
+            push_u64(out, 1);
+            push_u64(out, fnv1a64(&key));
+            push_u64(out, key.len() as u64);
+            out.extend_from_slice(&key);
+            push_u64(out, 3);
+            for (width, time) in [(4, 40), (2, 20), (4, 41)] {
+                push_u64(out, width);
+                push_u64(out, time);
+            }
+        });
+        let path = scratch_file("unsorted.rows.v1");
+        fs::write(&path, bytes).unwrap();
+        let store = RowStore::new();
+        assert_eq!(store.load(&path).unwrap(), 2);
+        let row = store.row_for_shape(&shape(5, &[4, 2]));
+        assert_eq!((row.get(2), row.get(4), row.len()), (Some(20), Some(40), 2));
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -379,18 +379,6 @@ impl ModuleShape {
         key
     }
 
-    /// FNV-1a 64-bit hash of [`ModuleShape::content_key`] — the fast-path
-    /// key of the content-addressed row store (`soctest_tam`'s `RowStore`);
-    /// collisions are disambiguated there by comparing the full key bytes.
-    pub fn content_hash(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in self.content_key() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
     /// Test time at `width` wrapper chains — bit-identical to
     /// `RowKernel::compute(module, w)[width - 1]` for every `w >= width`.
     ///
@@ -711,7 +699,6 @@ mod tests {
             .build();
         let (sa, sb) = (ModuleShape::of(&a), ModuleShape::of(&b));
         assert_eq!(sa.content_key(), sb.content_key());
-        assert_eq!(sa.content_hash(), sb.content_hash());
 
         // Any row-relevant difference must change the key.
         let variants = [
