@@ -15,6 +15,8 @@ use soctest_multisite::service::{
 };
 use soctest_multisite::{OptimizeRequest, OptimizerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::time::Duration;
 
@@ -307,6 +309,58 @@ fn deeply_nested_line_fails_one_connection_not_the_listener() {
     }
     assert!(matches!(&frames[1], ServerFrame::Result(r) if r.request_id == "n1"));
     assert!(matches!(&frames[2], ServerFrame::Bye(_)));
+    let summary = server.drain();
+    assert!(summary.contains("2 connection(s)"), "{summary}");
+}
+
+#[test]
+fn a_line_that_is_not_utf8_fails_itself_not_its_connection() {
+    // A line that is not UTF-8 answers one line-level Protocol error,
+    // the same connection goes on to answer its next frame, and another
+    // connection's answers stay bit-identical to stdin mode. soc-client
+    // forwards only UTF-8 lines, so connection a writes its raw bytes
+    // itself.
+    let mut raw = b"ab\xffcd\n".to_vec();
+    raw.extend_from_slice(format!("{}\n", d695_line("u1")).as_bytes());
+    let input_b = format!(
+        "{}\n{}\n",
+        tiny_soc_line("b1", "tiny_utf8_b1", 4),
+        tiny_soc_line("b2", "tiny_utf8_b2", 5)
+    );
+    let baseline_b = run_stdin_mode(&[], &input_b);
+    let sock = sock_path("utf8");
+    let server = ListeningServer::spawn(&["--listen", sock.to_str().unwrap()]);
+    let addr = server.addr.clone();
+    let (out_a, out_b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            let mut stream = UnixStream::connect(&addr).expect("connect");
+            stream.write_all(&raw).expect("send raw lines");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            let mut transcript = String::new();
+            stream
+                .read_to_string(&mut transcript)
+                .expect("read the answers");
+            transcript
+        });
+        let b = scope.spawn(|| run_client(&addr, &input_b, &[]));
+        (a.join().expect("client a"), b.join().expect("client b"))
+    });
+    assert_eq!(out_b.1, 0, "client b exits clean");
+    assert_eq!(non_bye(&out_b.0), non_bye(&baseline_b));
+    let frames = parse_transcript(&out_a);
+    assert_eq!(frames.len(), 3, "{out_a}");
+    match &frames[0] {
+        ServerFrame::Error(error) => {
+            assert_eq!(error.request_id, None);
+            assert_eq!(error.kind, ErrorKind::Protocol);
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(matches!(&frames[1], ServerFrame::Result(r) if r.request_id == "u1"));
+    match &frames[2] {
+        ServerFrame::Bye(stats) => assert_eq!((stats.served, stats.errors), (1, 1)),
+        other => panic!("expected Bye, got {other:?}"),
+    }
     let summary = server.drain();
     assert!(summary.contains("2 connection(s)"), "{summary}");
 }

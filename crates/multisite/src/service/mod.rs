@@ -54,22 +54,52 @@ pub use transport::{BoundListener, ClientStream, ListenAddr, TransportConfig, Tr
 
 use soctest_soc_model::synthetic::pnx8550_like;
 use soctest_soc_model::writer::write_soc;
-use soctest_soc_model::{benchmarks, Soc};
+use soctest_soc_model::{benchmarks, Soc, SocModelError};
+use std::sync::OnceLock;
+
+/// Every name [`resolve_named_soc`] accepts, in documentation order.
+const NAMED_SOCS: [&str; 5] = ["d695", "p22810", "p34392", "p93791", "pnx8550_like"];
+
+/// The named SOCs, each built once on first use.
+fn named_socs() -> &'static [(&'static str, Soc)] {
+    static SOCS: OnceLock<Vec<(&'static str, Soc)>> = OnceLock::new();
+    SOCS.get_or_init(|| {
+        NAMED_SOCS
+            .into_iter()
+            .map(|name| {
+                let soc = if name == "pnx8550_like" {
+                    pnx8550_like()
+                } else {
+                    benchmarks::by_name(name).expect("catalogue names are embedded benchmarks")
+                };
+                (name, soc)
+            })
+            .collect()
+    })
+}
 
 /// Resolves a [`SocSpec::Named`] SOC: one of the embedded ITC'02
 /// benchmarks (`d695`, `p22810`, `p34392`, `p93791`) or the synthetic
 /// `pnx8550_like` stand-in.
 ///
+/// Each design is built once per process; this returns a clone that
+/// shares the built module list, which costs a name copy and a
+/// reference-count bump. A warm [`SessionRegistry::get_or_build`] on
+/// such a clone matches its session by pointer.
+///
 /// # Errors
 ///
 /// Returns a human-readable message listing the known names.
 pub fn resolve_named_soc(name: &str) -> Result<Soc, String> {
-    if name == "pnx8550_like" {
-        return Ok(pnx8550_like());
+    if let Some((_, soc)) = named_socs().iter().find(|(known, _)| *known == name) {
+        return Ok(soc.clone());
     }
-    benchmarks::by_name(name).map_err(|err| {
-        format!("unknown SOC {name:?} ({err}); known: d695, p22810, p34392, p93791, pnx8550_like")
-    })
+    let err = SocModelError::UnknownBenchmark {
+        name: name.to_string(),
+    };
+    Err(format!(
+        "unknown SOC {name:?} ({err}); known: d695, p22810, p34392, p93791, pnx8550_like"
+    ))
 }
 
 /// One row of [`named_soc_catalogue`]: a named SOC the service can
@@ -90,15 +120,12 @@ pub struct NamedSoc {
 /// and `soc-batch`: every name [`resolve_named_soc`] accepts, in the
 /// order the error message documents them.
 pub fn named_soc_catalogue() -> Vec<NamedSoc> {
-    ["d695", "p22810", "p34392", "p93791", "pnx8550_like"]
-        .into_iter()
-        .map(|name| {
-            let soc = resolve_named_soc(name).expect("catalogue names resolve");
-            NamedSoc {
-                name,
-                modules: soc.modules().len(),
-                content_hash: registry::fnv1a64(&write_soc(&soc)),
-            }
+    named_socs()
+        .iter()
+        .map(|(name, soc)| NamedSoc {
+            name,
+            modules: soc.modules().len(),
+            content_hash: registry::fnv1a64(&write_soc(soc)),
         })
         .collect()
 }
@@ -130,6 +157,18 @@ mod tests {
     fn every_documented_name_resolves() {
         for name in ["d695", "p22810", "p34392", "p93791", "pnx8550_like"] {
             assert!(resolve_named_soc(name).is_ok(), "{name} must resolve");
+        }
+    }
+
+    #[test]
+    fn resolved_socs_equal_a_fresh_build() {
+        assert_eq!(resolve_named_soc("pnx8550_like").unwrap(), pnx8550_like());
+        for name in ["d695", "p22810", "p34392", "p93791"] {
+            assert_eq!(
+                resolve_named_soc(name).unwrap(),
+                benchmarks::by_name(name).unwrap(),
+                "{name}"
+            );
         }
     }
 

@@ -13,6 +13,20 @@
 //! is allowed to exist alone, it just prevents any second resident
 //! session.
 //!
+//! A warm lookup does not render the SOC. [`SessionRegistry::get_or_build`]
+//! first compares the request's SOC with `==` against the SOC each
+//! resident engine was built from. Equal SOCs render equal `.soc` text, so
+//! an equal resident session is exactly the one the canonical lookup
+//! would find, and it is touched and counted the same way. The compare is
+//! cheap: a clone from [`crate::service::resolve_named_soc`] shares its
+//! module list with the session's SOC and matches by pointer, and a
+//! re-parsed copy costs one structural pass. Only when no resident SOC is
+//! equal does the lookup render the canonical text and hash it, as
+//! before; that path also settles in-flight builds, and a SOC that differs
+//! structurally from a session's but renders the same text still shares
+//! it. The canonical text stays the identity, and its hash stays the key
+//! the solution cache persists.
+//!
 //! Cold builds are *coalesced*, not serialised: the registry lock is
 //! released for the whole cold build
 //! ([`EngineBuilder::try_build`](crate::engine::EngineBuilder::try_build)),
@@ -136,6 +150,23 @@ struct RegistryInner {
     stats: RegistryStats,
 }
 
+impl RegistryInner {
+    /// Serves a warm hit on the slot at `position`: touches it (moves it
+    /// to the hot end) and counts the hit.
+    fn hit(&mut self, position: usize) -> SessionHandle {
+        let slot = self.slots.remove(position);
+        let handle = SessionHandle {
+            engine: Arc::clone(&slot.engine),
+            warm: true,
+            key: slot.hash,
+            canonical: Arc::clone(&slot.canonical),
+        };
+        self.slots.push(slot);
+        self.stats.hits += 1;
+        handle
+    }
+}
+
 impl SessionRegistry {
     /// An empty registry holding at most `max_sessions` sessions and at
     /// most `max_table_bytes` of charged table memory (both clamped to at
@@ -183,7 +214,9 @@ impl SessionRegistry {
     }
 
     /// Returns the warm session for `soc`'s content, building (and
-    /// admitting) one if absent. Eviction runs after an admission.
+    /// admitting) one if absent. Eviction runs after an admission. A
+    /// resident session whose SOC equals `soc` is found without rendering
+    /// `soc` (see the [module docs](self)).
     ///
     /// # Errors
     ///
@@ -191,6 +224,12 @@ impl SessionRegistry {
     /// SOC fails validation (via [`crate::engine::EngineBuilder::try_build`]) —
     /// nothing is admitted in that case.
     pub fn get_or_build(&self, soc: &Soc) -> Result<SessionHandle, OptimizeError> {
+        {
+            let mut inner = self.lock();
+            if let Some(position) = inner.slots.iter().position(|slot| slot.engine.soc() == soc) {
+                return Ok(inner.hit(position));
+            }
+        }
         let canonical: Arc<str> = write_soc(soc).into();
         let hash = fnv1a64(&canonical);
         let mut waited = false;
@@ -201,19 +240,10 @@ impl SessionRegistry {
                 .iter()
                 .position(|slot| slot.hash == hash && slot.canonical == canonical)
             {
-                // Touch: move to the hot end. A waiter that wakes to
-                // find the leader's slot counts as a plain hit — same
-                // observable outcome as the old serialized behaviour.
-                let slot = inner.slots.remove(position);
-                let engine = Arc::clone(&slot.engine);
-                inner.slots.push(slot);
-                inner.stats.hits += 1;
-                return Ok(SessionHandle {
-                    engine,
-                    warm: true,
-                    key: hash,
-                    canonical,
-                });
+                // A waiter that wakes to find the leader's slot counts
+                // as a plain hit — same observable outcome as the old
+                // serialized behaviour.
+                return Ok(inner.hit(position));
             }
 
             let in_flight = inner
@@ -367,6 +397,7 @@ impl Drop for BuildGuard<'_> {
 mod tests {
     use super::*;
     use soctest_soc_model::benchmarks::{d695, p22810};
+    use soctest_soc_model::parser::parse_soc;
     use soctest_soc_model::{Module, Soc};
 
     #[test]
@@ -375,12 +406,124 @@ mod tests {
         let first = registry.get_or_build(&d695()).unwrap();
         assert!(!first.warm);
         // A re-parsed copy has identical canonical text.
-        let reparsed =
-            soctest_soc_model::parser::parse_soc(&write_soc(&d695())).expect("round trip");
+        let reparsed = parse_soc(&write_soc(&d695())).expect("round trip");
         let second = registry.get_or_build(&reparsed).unwrap();
         assert!(second.warm);
         assert!(Arc::ptr_eq(&first.engine, &second.engine));
         assert_eq!(registry.len(), 1);
+        let stats = registry.stats();
+        assert_eq!((stats.hits, stats.misses, stats.created), (1, 1, 1));
+    }
+
+    #[test]
+    fn catalogue_clones_reparsed_copies_and_inline_spellings_share_a_session() {
+        use crate::service::resolve_named_soc;
+        let registry = SessionRegistry::new(4, u64::MAX);
+        let first = registry
+            .get_or_build(&resolve_named_soc("d695").unwrap())
+            .unwrap();
+        assert!(!first.warm);
+        let text = write_soc(&d695());
+        let reparsed = parse_soc(&text).unwrap();
+        // Another spelling of the same content: a comment, no generator
+        // line, and the default `kind logic` left out.
+        let respelled: String = std::iter::once("# d695, spelled by hand")
+            .chain(
+                text.lines()
+                    .filter(|line| !line.starts_with('#') && line.trim() != "kind logic"),
+            )
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_ne!(respelled, text);
+        let inline = parse_soc(&respelled).unwrap();
+        for soc in [reparsed, inline, resolve_named_soc("d695").unwrap()] {
+            let handle = registry.get_or_build(&soc).unwrap();
+            assert!(handle.warm);
+            assert!(Arc::ptr_eq(&handle.engine, &first.engine));
+            assert_eq!(
+                (handle.key, &handle.canonical),
+                (first.key, &first.canonical)
+            );
+        }
+        let stats = registry.stats();
+        assert_eq!((stats.hits, stats.misses, stats.created), (3, 1, 1));
+        assert_eq!(registry.len(), 1);
+    }
+
+    #[test]
+    fn a_soc_that_differs_in_one_chain_length_misses() {
+        let registry = SessionRegistry::new(4, u64::MAX);
+        let original = registry.get_or_build(&d695()).unwrap();
+        // Same name and shape, one scan chain one flip-flop longer.
+        let text = write_soc(&d695());
+        let line = text
+            .lines()
+            .find(|line| line.trim_start().starts_with("scanchains "))
+            .expect("d695 has scan chains");
+        let mut lengths = line.split_whitespace().skip(1);
+        let first: u64 = lengths.next().unwrap().parse().unwrap();
+        let longer = ["  scanchains".to_string(), (first + 1).to_string()]
+            .into_iter()
+            .chain(lengths.map(str::to_string))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let changed = parse_soc(&text.replacen(line, &longer, 1)).unwrap();
+        assert_eq!(changed.name(), d695().name());
+        assert_ne!(changed, d695());
+        let handle = registry.get_or_build(&changed).unwrap();
+        assert!(!handle.warm);
+        assert!(!Arc::ptr_eq(&handle.engine, &original.engine));
+        assert_ne!(handle.key, original.key);
+        let stats = registry.stats();
+        assert_eq!((stats.hits, stats.misses, stats.created), (0, 2, 2));
+    }
+
+    #[test]
+    fn growing_a_catalogue_clone_leaves_the_catalogue_and_its_session_alone() {
+        use crate::service::resolve_named_soc;
+        let registry = SessionRegistry::new(4, u64::MAX);
+        let session = registry
+            .get_or_build(&resolve_named_soc("d695").unwrap())
+            .unwrap();
+        let mut grown = resolve_named_soc("d695").unwrap();
+        grown.push_module(
+            Module::builder("extra")
+                .patterns(3)
+                .inputs(2)
+                .outputs(2)
+                .build(),
+        );
+        assert_eq!(resolve_named_soc("d695").unwrap(), d695());
+        assert_eq!(session.engine.soc(), &d695());
+        assert!(!registry.get_or_build(&grown).unwrap().warm);
+        assert!(
+            registry
+                .get_or_build(&resolve_named_soc("d695").unwrap())
+                .unwrap()
+                .warm
+        );
+    }
+
+    #[test]
+    fn equal_text_shares_a_session_even_when_the_socs_differ() {
+        // The canonical text is the identity: a SOC whose name smuggles
+        // in every module line of d695 has no modules of its own, yet
+        // renders d695's exact text, so it shares d695's session.
+        let registry = SessionRegistry::new(4, u64::MAX);
+        let original = registry.get_or_build(&d695()).unwrap();
+        let text = write_soc(&d695());
+        let header = "# generated by soctest-soc-model\nsoc ";
+        let name = text
+            .strip_prefix(header)
+            .unwrap()
+            .strip_suffix('\n')
+            .unwrap();
+        let lookalike = Soc::new(name);
+        assert_ne!(lookalike, d695());
+        assert_eq!(write_soc(&lookalike), text);
+        let handle = registry.get_or_build(&lookalike).unwrap();
+        assert!(handle.warm);
+        assert!(Arc::ptr_eq(&handle.engine, &original.engine));
         let stats = registry.stats();
         assert_eq!((stats.hits, stats.misses, stats.created), (1, 1, 1));
     }

@@ -239,8 +239,13 @@ impl ConnWriter {
         if self.error.is_some() {
             return;
         }
-        let attempt =
-            writeln!(self.sink, "{}", render_server_frame(frame)).and_then(|()| self.sink.flush());
+        // One write per frame: each write call wakes the client.
+        let mut line = render_server_frame(frame);
+        line.push('\n');
+        let attempt = self
+            .sink
+            .write_all(line.as_bytes())
+            .and_then(|()| self.sink.flush());
         if let Err(error) = attempt {
             self.error = Some(error);
         }
@@ -460,16 +465,34 @@ impl Server {
     }
 
     /// The reader loop of one connection: parses lines, admits / sheds /
-    /// cancels, closes the connection when the stream ends.
-    pub(crate) fn run_reader<R: BufRead>(&self, input: R, conn: &Arc<Connection>) {
-        for line in input.lines() {
-            let Ok(line) = line else {
-                break; // read error: treat as end of stream
+    /// cancels, closes the connection when the stream ends. A line that
+    /// is not UTF-8 answers one line-level protocol error and reading
+    /// goes on; only EOF, `Shutdown` or an I/O error ends the stream.
+    pub(crate) fn run_reader<R: BufRead>(&self, mut input: R, conn: &Arc<Connection>) {
+        let mut buffer = Vec::new();
+        loop {
+            buffer.clear();
+            match input.read_until(b'\n', &mut buffer) {
+                Ok(0) | Err(_) => break, // end of stream, or a read error
+                Ok(_) => {}
+            }
+            // Strip `\n` or `\r\n`, as `BufRead::lines` does.
+            let mut bytes = buffer.as_slice();
+            if let Some(rest) = bytes.strip_suffix(b"\n") {
+                bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
+            }
+            let line = match std::str::from_utf8(bytes) {
+                Ok(line) => line,
+                Err(err) => {
+                    let message = format!("malformed frame: {err}");
+                    self.note(conn, ServerFrame::Error(ErrorFrame::protocol(message)));
+                    continue;
+                }
             };
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_client_frame(&line) {
+            match parse_client_frame(line) {
                 Ok(ClientFrame::Optimize(frame)) => self.admit(conn, frame),
                 Ok(ClientFrame::Cancel { request_id }) => self.cancel(conn, &request_id),
                 Ok(ClientFrame::Shutdown) => break,
@@ -1172,10 +1195,14 @@ mod tests {
     }
 
     fn run_session(config: ServerConfig, input: &str) -> (Vec<ServerFrame>, ServerStats) {
+        run_session_bytes(config, input.as_bytes())
+    }
+
+    fn run_session_bytes(config: ServerConfig, input: &[u8]) -> (Vec<ServerFrame>, ServerStats) {
         let server = Server::new(config);
         let output = SharedBuf::default();
         let stats = server
-            .serve(Cursor::new(input.to_string()), output.clone())
+            .serve(Cursor::new(input.to_vec()), output.clone())
             .expect("serve");
         let frames = String::from_utf8(output.contents())
             .unwrap()
@@ -1511,6 +1538,73 @@ mod tests {
                 other => panic!("expected InvalidSoc for {id}, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_answers_a_protocol_error_and_reading_goes_on() {
+        let mut input = b"ab\xffcd\n".to_vec();
+        input
+            .extend_from_slice(optimize_line("r1", SocSpec::Named("d695".into()), None).as_bytes());
+        input.extend_from_slice(b"\r\n\"Shutdown\"\n");
+        let (frames, stats) = run_session_bytes(ServerConfig::default(), &input);
+        assert_eq!(frames.len(), 3, "{frames:?}");
+        match &frames[0] {
+            ServerFrame::Error(error) => {
+                assert_eq!(error.request_id, None);
+                assert_eq!(error.kind, ErrorKind::Protocol);
+                assert!(error.message.contains("utf-8"), "{}", error.message);
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(
+            matches!(&frames[1], ServerFrame::Result(result) if result.request_id == "r1"),
+            "{:?}",
+            frames[1]
+        );
+        assert!(matches!(&frames[2], ServerFrame::Bye(_)));
+        assert_eq!((stats.served, stats.errors), (1, 1));
+    }
+
+    /// A sink that records each `write` call's bytes separately.
+    #[derive(Debug, Clone, Default)]
+    struct CountingSink(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            lock(&self.0).push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        let input = format!(
+            "{}\nnot json\n\"Shutdown\"\n",
+            optimize_line("r1", SocSpec::Named("d695".into()), None)
+        );
+        let sink = CountingSink::default();
+        Server::new(ServerConfig::default())
+            .serve(Cursor::new(input), sink.clone())
+            .expect("serve");
+        let writes = lock(&sink.0).clone();
+        let kinds: Vec<&str> = writes
+            .iter()
+            .map(|write| {
+                let line = std::str::from_utf8(write).unwrap();
+                let frame = line.strip_suffix('\n').expect("a whole line per write");
+                assert!(!frame.contains('\n'), "one frame per write: {line:?}");
+                match serde_json::from_str::<ServerFrame>(frame).unwrap() {
+                    ServerFrame::Result(_) => "Result",
+                    ServerFrame::Error(_) => "Error",
+                    ServerFrame::Bye(_) => "Bye",
+                }
+            })
+            .collect();
+        assert_eq!(kinds, ["Result", "Error", "Bye"]);
     }
 
     #[test]

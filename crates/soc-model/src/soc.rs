@@ -3,12 +3,19 @@
 use crate::module::{Module, ModuleId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A System-on-Chip: a named collection of embedded [`Module`]s.
 ///
 /// The module order is preserved; [`ModuleId`]s are dense indices into that
 /// order and remain valid for the lifetime of the `Soc` value (modules can
 /// only be appended, never removed).
+///
+/// The module list is shared: cloning a `Soc` copies its name and bumps
+/// a reference count, and the clones share one list until one of them
+/// appends a module, which copies the list first (copy on write). Two
+/// SOCs that share a list compare equal by pointer; otherwise `==`
+/// compares module by module.
 ///
 /// # Example
 ///
@@ -23,7 +30,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Soc {
     name: String,
-    modules: Vec<Module>,
+    modules: Arc<Vec<Module>>,
 }
 
 impl Soc {
@@ -31,7 +38,7 @@ impl Soc {
     pub fn new(name: impl Into<String>) -> Self {
         Soc {
             name: name.into(),
-            modules: Vec::new(),
+            modules: Arc::new(Vec::new()),
         }
     }
 
@@ -42,7 +49,7 @@ impl Soc {
     {
         Soc {
             name: name.into(),
-            modules: modules.into_iter().collect(),
+            modules: Arc::new(modules.into_iter().collect()),
         }
     }
 
@@ -51,10 +58,12 @@ impl Soc {
         &self.name
     }
 
-    /// Appends a module and returns its id.
+    /// Appends a module and returns its id. Copies the module list
+    /// first if another clone shares it.
     pub fn push_module(&mut self, module: Module) -> ModuleId {
-        self.modules.push(module);
-        ModuleId(self.modules.len() - 1)
+        let modules = Arc::make_mut(&mut self.modules);
+        modules.push(module);
+        ModuleId(modules.len() - 1)
     }
 
     /// Number of modules in the SOC.
@@ -100,7 +109,7 @@ impl Soc {
 
     /// The modules as a slice, in insertion order.
     pub fn modules(&self) -> &[Module] {
-        &self.modules
+        self.modules.as_slice()
     }
 
     /// All module ids in insertion order.
@@ -161,7 +170,7 @@ impl fmt::Display for Soc {
 
 impl Extend<Module> for Soc {
     fn extend<T: IntoIterator<Item = Module>>(&mut self, iter: T) {
-        self.modules.extend(iter);
+        Arc::make_mut(&mut self.modules).extend(iter);
     }
 }
 
@@ -291,6 +300,23 @@ mod tests {
         assert!(soc.is_empty());
         assert_eq!(soc.stats().longest_scan_chain, 0);
         assert_eq!(soc.to_string(), "soc empty (0 modules)");
+    }
+
+    #[test]
+    fn clones_share_the_module_list_until_one_appends() {
+        let original = sample_soc();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.modules, &copy.modules));
+        assert_eq!(copy, original);
+        copy.push_module(Module::builder("c").patterns(1).build());
+        assert!(!Arc::ptr_eq(&original.modules, &copy.modules));
+        assert_eq!(original.num_modules(), 2, "the original is untouched");
+        assert_eq!(copy.num_modules(), 3);
+        assert_ne!(copy, original);
+        let mut extended = original.clone();
+        extended.extend(vec![Module::builder("d").build()]);
+        assert_eq!(original.num_modules(), 2);
+        assert_eq!(extended.num_modules(), 3);
     }
 
     #[test]

@@ -719,9 +719,8 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_and_is_deterministic() {
-        let dir = std::env::temp_dir().join(format!("soctest-rowstore-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.rows.v1");
+        let dir = ScratchDir::new("roundtrip");
+        let path = dir.file("roundtrip.rows.v1");
 
         let store = RowStore::new();
         for (p, widths) in [(5u64, [1usize, 8]), (11, [3, 17])] {
@@ -750,14 +749,12 @@ mod tests {
         let stats = reloaded.stats();
         assert_eq!((stats.rows, stats.cells, stats.cells_loaded), (2, 4, 4));
         assert_eq!(stats.cells_computed, 0, "loading is not computing");
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn save_capped_drops_coldest_rows_and_respects_the_bound() {
-        let dir = std::env::temp_dir().join(format!("soctest-rowstore-cap-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("capped.rows.v1");
+        let dir = ScratchDir::new("cap");
+        let path = dir.file("capped.rows.v1");
 
         let store = RowStore::new();
         for p in [3u64, 5, 7] {
@@ -789,16 +786,13 @@ mod tests {
         let empty = RowStore::new();
         assert_eq!(empty.load(&path).unwrap(), 0);
         assert_eq!(empty.stats().rows, 0);
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn touch_order_survives_a_save_load_cycle() {
-        let dir =
-            std::env::temp_dir().join(format!("soctest-rowstore-touch-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("touch.rows.v1");
-        let again = dir.join("touch-again.rows.v1");
+        let dir = ScratchDir::new("touch");
+        let path = dir.file("touch.rows.v1");
+        let again = dir.file("touch-again.rows.v1");
 
         let store = RowStore::new();
         for p in [3u64, 5, 7] {
@@ -819,8 +813,6 @@ mod tests {
             fs::read(&again).unwrap(),
             "row order (recency) must survive a round trip"
         );
-        fs::remove_file(&path).unwrap();
-        fs::remove_file(&again).unwrap();
     }
 
     /// `(rows, cells)` counted the slow way: a walk over every resident row.
@@ -830,10 +822,27 @@ mod tests {
         })
     }
 
-    fn scratch_file(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("soctest-rowstore-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A directory of one test's own under the temp dir, removed with
+    /// its files when the test ends, pass or fail.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl ScratchDir {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("soctest-rowstore-{tag}-{}", std::process::id()));
+            fs::create_dir_all(&dir).unwrap();
+            ScratchDir(dir)
+        }
+
+        fn file(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -858,7 +867,8 @@ mod tests {
         assert_eq!(walked(&store), (2, 3));
 
         // Both rows are saved, each under its key's own hash, so both load.
-        let path = scratch_file("collided.rows.v1");
+        let dir = ScratchDir::new("collided");
+        let path = dir.file("collided.rows.v1");
         assert_eq!(store.save(&path).unwrap(), 2);
         let reloaded = RowStore::new();
         assert_eq!(reloaded.load(&path).unwrap(), 3);
@@ -869,7 +879,6 @@ mod tests {
             (Some(30), None, Some(31), Some(50))
         );
         assert_eq!(reloaded.stats().rows, 2);
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -893,7 +902,8 @@ mod tests {
         assert_eq!((stats.rows, stats.cells), (6, 6 * 12));
         assert_eq!(walked(&store), (stats.rows, stats.cells));
 
-        let path = scratch_file("gauges.rows.v1");
+        let dir = ScratchDir::new("gauges");
+        let path = dir.file("gauges.rows.v1");
         store.save(&path).unwrap();
         let other = RowStore::new();
         other.row_for_shape(&shape(3, &[4, 2])).insert(1, 301);
@@ -905,12 +915,12 @@ mod tests {
             (7, 6 * 12 + 1, 71)
         );
         assert_eq!(walked(&other), (stats.rows, stats.cells));
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn load_merges_sorted_cells_and_resident_cells_win() {
-        let path = scratch_file("merge.rows.v1");
+        let dir = ScratchDir::new("merge");
+        let path = dir.file("merge.rows.v1");
         let saved = RowStore::new();
         let row = saved.row_for_shape(&shape(5, &[4, 2]));
         for (width, time) in [(9, 90), (1, 10), (4, 40)] {
@@ -929,7 +939,6 @@ mod tests {
             "one sorted slice, resident value kept"
         );
         assert_eq!(store.stats().cells, 4);
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -946,13 +955,13 @@ mod tests {
                 push_u64(out, time);
             }
         });
-        let path = scratch_file("unsorted.rows.v1");
+        let dir = ScratchDir::new("unsorted");
+        let path = dir.file("unsorted.rows.v1");
         fs::write(&path, bytes).unwrap();
         let store = RowStore::new();
         assert_eq!(store.load(&path).unwrap(), 2);
         let row = store.row_for_shape(&shape(5, &[4, 2]));
         assert_eq!((row.get(2), row.get(4), row.len()), (Some(20), Some(40), 2));
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
