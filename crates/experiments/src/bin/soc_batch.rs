@@ -25,6 +25,7 @@
 
 use soctest_experiments::batch::{render_json, run_request_text_with_store, sample_request};
 use soctest_experiments::serve::render_soc_catalogue;
+use soctest_multisite::service::ROWS_FILE;
 use soctest_tam::RowStore;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -133,7 +134,7 @@ fn main() -> ExitCode {
     // warning and a cold store, never a failure.
     let store = options.cache_dir.as_ref().map(|dir| {
         let store = Arc::new(RowStore::new());
-        let path = dir.join("rows.v1");
+        let path = dir.join(ROWS_FILE);
         if let Err(err) = store.load_if_present(&path) {
             eprintln!("warning: ignoring row cache {}: {err}", path.display());
         }
@@ -147,7 +148,7 @@ fn main() -> ExitCode {
         }
     };
     if let (Some(dir), Some(store)) = (&options.cache_dir, &store) {
-        let path = dir.join("rows.v1");
+        let path = dir.join(ROWS_FILE);
         let cap = options.max_store_bytes.unwrap_or(u64::MAX);
         let saved = std::fs::create_dir_all(dir)
             .map_err(soctest_tam::StoreError::from)

@@ -5,8 +5,10 @@
 //! ```
 //!
 //! Connects to a `soc-serve --listen` socket (Unix path or TCP
-//! address), streams stdin to the server line-by-line, half-closes the
-//! write side at stdin EOF, and prints every response frame to stdout
+//! address), streams stdin to the server line-by-line (raw bytes: a line
+//! that is not UTF-8 is forwarded too, and the server answers it with a
+//! `Protocol` error), half-closes the write side at stdin EOF, and
+//! prints every response frame to stdout
 //! until the server's final `Bye`. The transcript on stdout is exactly
 //! what the same input would produce over stdin/stdout mode (modulo the
 //! `Bye` frame's connection-scoped counters), so replies can be diffed
@@ -78,12 +80,15 @@ fn main() -> ExitCode {
     // listening mid-uplink either still answers its Bye (fine) or
     // closes without one (reported below).
     std::thread::spawn(move || {
-        let stdin = std::io::stdin();
         let send = |write_half: &mut ClientStream| -> std::io::Result<()> {
-            for line in stdin.lock().lines() {
-                let line = line?;
-                writeln!(write_half, "{line}")?;
-                write_half.flush()?;
+            let mut stdin = std::io::stdin().lock();
+            let mut line = Vec::new();
+            while stdin.read_until(b'\n', &mut line)? > 0 {
+                if line.last() != Some(&b'\n') {
+                    line.push(b'\n');
+                }
+                write_half.write_all(&line)?;
+                line.clear();
             }
             Ok(())
         };

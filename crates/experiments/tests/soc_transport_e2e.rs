@@ -144,6 +144,11 @@ impl Drop for ListeningServer {
 /// Runs `soc-client` against `addr` with `input` on stdin; returns the
 /// stdout transcript and the exit code.
 fn run_client(addr: &str, input: &str, extra: &[&str]) -> (String, i32) {
+    run_client_bytes(addr, input.as_bytes(), extra)
+}
+
+/// [`run_client`] with raw bytes on stdin.
+fn run_client_bytes(addr: &str, input: &[u8], extra: &[&str]) -> (String, i32) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_soc-client"))
         .arg(addr)
         .args(extra)
@@ -156,7 +161,7 @@ fn run_client(addr: &str, input: &str, extra: &[&str]) -> (String, i32) {
         .stdin
         .take()
         .expect("piped stdin")
-        .write_all(input.as_bytes())
+        .write_all(input)
         .expect("write session input");
     let output = child.wait_with_output().expect("soc-client exits");
     (
@@ -317,9 +322,9 @@ fn deeply_nested_line_fails_one_connection_not_the_listener() {
 fn a_line_that_is_not_utf8_fails_itself_not_its_connection() {
     // A line that is not UTF-8 answers one line-level Protocol error,
     // the same connection goes on to answer its next frame, and another
-    // connection's answers stay bit-identical to stdin mode. soc-client
-    // forwards only UTF-8 lines, so connection a writes its raw bytes
-    // itself.
+    // connection's answers stay bit-identical to stdin mode. Connection
+    // a writes its raw bytes itself, so the server side is tested apart
+    // from soc-client.
     let mut raw = b"ab\xffcd\n".to_vec();
     raw.extend_from_slice(format!("{}\n", d695_line("u1")).as_bytes());
     let input_b = format!(
@@ -363,6 +368,34 @@ fn a_line_that_is_not_utf8_fails_itself_not_its_connection() {
     }
     let summary = server.drain();
     assert!(summary.contains("2 connection(s)"), "{summary}");
+}
+
+#[test]
+fn soc_client_forwards_a_line_that_is_not_utf8_and_every_frame_after_it() {
+    // soc-client forwards stdin lines as raw bytes: a line that is not
+    // UTF-8 reaches the server, which answers one Protocol error, and
+    // the frame after it is still sent and answered.
+    let mut input = b"ab\xffcd\n".to_vec();
+    input.extend_from_slice(format!("{}\n", d695_line("c1")).as_bytes());
+    let sock = sock_path("client-utf8");
+    let server = ListeningServer::spawn(&["--listen", sock.to_str().unwrap()]);
+    let (transcript, code) = run_client_bytes(&server.addr, &input, &[]);
+    assert_eq!(code, 0, "{transcript}");
+    let frames = parse_transcript(&transcript);
+    assert_eq!(frames.len(), 3, "{transcript}");
+    match &frames[0] {
+        ServerFrame::Error(error) => {
+            assert_eq!(error.request_id, None);
+            assert_eq!(error.kind, ErrorKind::Protocol);
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(matches!(&frames[1], ServerFrame::Result(r) if r.request_id == "c1"));
+    match &frames[2] {
+        ServerFrame::Bye(stats) => assert_eq!((stats.served, stats.errors), (1, 1)),
+        other => panic!("expected Bye, got {other:?}"),
+    }
+    server.drain();
 }
 
 #[test]

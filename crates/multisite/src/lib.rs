@@ -65,6 +65,7 @@
 pub mod engine;
 pub mod error;
 pub mod flat;
+mod lru;
 pub mod optimizer;
 mod plan;
 pub mod problem;

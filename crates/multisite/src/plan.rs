@@ -21,8 +21,13 @@
 //! The lock is never held while the table is probed: under cancellation a
 //! probe unwinds, and only finished plans are published, so a stopped
 //! request leaves the memo as it was.
+//!
+//! The plans of a snapshot live in one bounded recency list (`crate::lru`)
+//! under an item cap of [`MAX_PLANS`], each charged its estimated memory
+//! when it is published.
 
 use crate::error::OptimizeError;
+use crate::lru::Lru;
 use crate::optimizer::{
     channels_per_site, contacted_pads, max_sites_for, optimal_index, optimize_with_table,
     site_point,
@@ -158,12 +163,22 @@ impl DepthPlan {
 }
 
 /// The plans of one table snapshot.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Plans {
     /// Width of the table snapshot the plans were computed on.
     table_width: usize,
-    /// At most [`MAX_PLANS`] plans, least recently used first.
-    plans: Vec<Arc<DepthPlan>>,
+    /// At most [`MAX_PLANS`] plans, each charged its
+    /// [`DepthPlan::memory_bytes`].
+    plans: Lru<Arc<DepthPlan>>,
+}
+
+impl Default for Plans {
+    fn default() -> Self {
+        Plans {
+            table_width: 0,
+            plans: Lru::new(MAX_PLANS, u64::MAX),
+        }
+    }
 }
 
 /// A session's memo of Step 1 architectures and Step 2 trajectories,
@@ -226,10 +241,7 @@ impl PlanMemo {
         if inner.table_width != table_width {
             return None;
         }
-        let index = inner.plans.iter().position(|plan| plan.depth == depth)?;
-        let plan = inner.plans.remove(index);
-        inner.plans.push(Arc::clone(&plan));
-        Some(plan)
+        inner.plans.touch(|plan| plan.depth == depth).cloned()
     }
 
     /// Publishes `plan`, computed on the snapshot of `table_width`, and
@@ -244,34 +256,22 @@ impl PlanMemo {
             return plan;
         }
         if table_width > inner.table_width {
-            inner.table_width = table_width;
-            inner.plans.clear();
+            *inner = Plans {
+                table_width,
+                ..Plans::default()
+            };
         }
-        let plan = match inner.plans.iter().position(|p| p.depth == plan.depth) {
-            Some(index) => {
-                let resident = inner.plans.remove(index);
-                if resident.progress() >= plan.progress() {
-                    resident
-                } else {
-                    plan
-                }
-            }
-            None => plan,
+        let plan = match inner.plans.remove(|p| p.depth == plan.depth) {
+            Some(resident) if resident.progress() >= plan.progress() => resident,
+            _ => plan,
         };
-        inner.plans.push(Arc::clone(&plan));
-        if inner.plans.len() > MAX_PLANS {
-            inner.plans.remove(0);
-        }
+        inner.plans.push(Arc::clone(&plan), plan.memory_bytes());
         plan
     }
 
     /// Estimated resident bytes of the resident plans.
     pub(crate) fn memory_bytes(&self) -> u64 {
-        self.lock()
-            .plans
-            .iter()
-            .map(|plan| plan.memory_bytes())
-            .sum()
+        self.lock().plans.bytes()
     }
 }
 
@@ -315,7 +315,7 @@ mod tests {
         let reference = optimize_with_table(soc.name(), &table, &cfg);
         assert!(reference.is_ok());
         assert_eq!(memo.optimize(soc.name(), &table, &cfg), reference);
-        assert!(memo.lock().plans.is_empty());
+        assert_eq!(memo.lock().plans.len(), 0);
     }
 
     #[test]
@@ -335,7 +335,7 @@ mod tests {
             memo.optimize(soc.name(), &narrow, &cfg),
             optimize_with_table(soc.name(), &narrow, &cfg)
         );
-        assert_eq!(memo.lock().plans[0].depth, 64 * 1024);
+        assert_eq!(memo.lock().plans.iter().next().unwrap().0.depth, 64 * 1024);
     }
 
     #[test]
@@ -350,7 +350,10 @@ mod tests {
         }
         assert_eq!(memo.lock().plans.len(), MAX_PLANS);
         // The oldest depths went first.
-        assert_eq!(memo.lock().plans[0].depth, 64 * 1024 + 4096 * 4);
+        assert_eq!(
+            memo.lock().plans.iter().next().unwrap().0.depth,
+            64 * 1024 + 4096 * 4
+        );
         assert!(memo.memory_bytes() > 0);
     }
 }

@@ -25,9 +25,10 @@
 //! typed error is admitted behind a typed negative flag and replayed
 //! without recomputation. Wall-clock-dependent failures (cancellation,
 //! deadline expiry, shed load, panics) are never cached. Entries of both
-//! polarities are evicted least-recently-used when the cache exceeds
-//! its entry-count or byte cap, always sparing the hottest entry
-//! (mirroring the session registry's policy).
+//! polarities live in one bounded recency list under the entry-count and
+//! byte caps (`crate::lru`), each charged its canonical key plus its
+//! rendered response, and leaders and waiters follow that module's
+//! in-flight protocol.
 //!
 //! # Point-level reuse
 //!
@@ -44,7 +45,8 @@
 //! request answers a later sweep's identical point. The indexes stay
 //! separate so the wire-visible `result_bytes` gauge keeps meaning
 //! "whole-request entries"; the point index carries its own
-//! `point_entries` / `point_bytes` gauges and mirrors the same LRU caps.
+//! `point_entries` / `point_bytes` gauges in a second list under the same
+//! caps.
 //!
 //! # Persistence (`solutions.v1`)
 //!
@@ -62,24 +64,19 @@
 
 use crate::engine::{OptimizeRequest, OptimizeResponse, PointMemo};
 use crate::error::OptimizeError;
+use crate::lru::{wait, Flight, Lru};
 use crate::service::cancel::CancelToken;
 use crate::service::registry::fnv1a64;
 use soctest_tam::{open_envelope, push_u64, seal_envelope, write_atomic, Cursor, StoreError};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// File magic (7 bytes) of the persisted solution cache, followed by the
 /// one-byte format version — `solutions.v1` in the cache directory.
 const SOLUTIONS_MAGIC: &[u8; 7] = b"SOCSOLS";
 /// Current `solutions.v1` format version byte.
 const SOLUTIONS_VERSION: u8 = b'1';
-
-/// How long a waiter sleeps between checks of its own [`CancelToken`]
-/// while blocked on a leader. Purely a cancellation-latency bound: the
-/// leader's guard notifies the condvar the moment the result lands.
-const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 /// Renders a parsed request back to its canonical JSON string — the
 /// content-addressed identity used by [`SolutionCache`]. Parsing
@@ -188,49 +185,35 @@ struct CacheEntry {
     canonical: String,
     /// The cached response (successful or negative).
     response: CachedResponse,
-    /// Charged size: canonical key plus rendered response.
-    bytes: u64,
 }
 
 impl CacheEntry {
     fn matches(&self, soc: u64, hash: u64, canonical: &str) -> bool {
         self.soc == soc && self.hash == hash && self.canonical == canonical
     }
+
+    /// The entry's charge: canonical key plus rendered response.
+    fn charge(&self) -> u64 {
+        let rendered = match &self.response {
+            CachedResponse::Success(response) => {
+                serde_json::to_string(response).expect("responses serialise")
+            }
+            CachedResponse::Negative(error) => error.to_string(),
+        };
+        (self.canonical.len() + rendered.len()) as u64
+    }
 }
 
-/// Looks `(soc, hash, canonical)` up in one LRU index; a match is
-/// touched hottest and its response cloned out.
-fn probe_index(
-    list: &mut Vec<CacheEntry>,
-    soc: u64,
-    hash: u64,
-    canonical: &str,
-) -> Option<CachedResponse> {
-    let position = list
-        .iter()
-        .position(|entry| entry.matches(soc, hash, canonical))?;
-    let entry = list.remove(position);
-    let served = entry.response.clone();
-    list.push(entry);
-    Some(served)
-}
-
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheInner {
-    /// Whole-request entries in LRU order: index 0 is the coldest.
-    entries: Vec<CacheEntry>,
-    /// Sweep-point entries in LRU order (successes only) — same key
-    /// namespace as `entries`, kept apart so whole-request accounting
-    /// (the wire `result_bytes`) is undisturbed by sweep traffic.
-    points: Vec<CacheEntry>,
+    /// Whole-request entries.
+    entries: Lru<CacheEntry>,
+    /// Sweep-point entries (successes only) — same key namespace as
+    /// `entries`, kept apart so whole-request accounting (the wire
+    /// `result_bytes`) is undisturbed by sweep traffic.
+    points: Lru<CacheEntry>,
     /// Keys currently being computed by a leader.
     inflight: Vec<(u64, u64, String)>,
-    /// Running byte total of `entries` — kept exact on every insert and
-    /// eviction so neither the eviction loop nor `stats()` re-sums the
-    /// whole list.
-    resident_bytes: u64,
-    /// Running byte total of `points`.
-    point_bytes: u64,
     stats: SolutionCacheStats,
 }
 
@@ -243,21 +226,22 @@ pub struct SolutionCache {
     /// Signalled whenever a leader finishes (result landed or leader
     /// gave up) so waiters re-check.
     ready: Condvar,
-    max_entries: usize,
-    max_bytes: u64,
 }
 
 impl SolutionCache {
     /// An empty cache holding at most `max_entries` responses and at
-    /// most `max_bytes` of charged memory. The entry cap is clamped to
-    /// at least one; the hottest entry is never evicted, so a single
+    /// most `max_bytes` of charged memory in each index. An entry cap of
+    /// zero acts as one; the hottest entry is never evicted, so a single
     /// oversized response may exist alone.
     pub fn new(max_entries: usize, max_bytes: u64) -> Self {
         SolutionCache {
-            inner: Mutex::new(CacheInner::default()),
+            inner: Mutex::new(CacheInner {
+                entries: Lru::new(max_entries, max_bytes),
+                points: Lru::new(max_entries, max_bytes),
+                inflight: Vec::new(),
+                stats: SolutionCacheStats::default(),
+            }),
             ready: Condvar::new(),
-            max_entries: max_entries.max(1),
-            max_bytes,
         }
     }
 
@@ -289,48 +273,42 @@ impl SolutionCache {
     {
         let canonical = canonical_request(request);
         let hash = fnv1a64(&canonical);
+        let matches = |entry: &CacheEntry| entry.matches(soc, hash, &canonical);
         let mut compute = Some(compute);
         let mut waited = false;
         let mut inner = self.lock();
         loop {
-            // Touch: a match moves to the hot end.
-            if let Some(served) = probe_index(&mut inner.entries, soc, hash, &canonical) {
-                return match served {
-                    CachedResponse::Success(response) => {
-                        // The leader-computed vs waiter-coalesced split:
-                        // a direct hit and a waiter waking to find its
-                        // leader's entry are counted apart.
-                        let outcome = if waited {
-                            inner.stats.coalesced_served += 1;
-                            CacheOutcome::Coalesced
-                        } else {
-                            inner.stats.hits += 1;
-                            CacheOutcome::Hit
-                        };
-                        Ok((outcome, response))
-                    }
-                    CachedResponse::Negative(error) => {
-                        inner.stats.negative_hits += 1;
-                        Err(error)
-                    }
-                };
-            }
-
-            // No whole-request entry — but a sweep may have computed this
-            // exact configuration as one of its points. Point entries
-            // hold only successes, so a match is a full, free answer.
-            if let Some(CachedResponse::Success(response)) =
-                probe_index(&mut inner.points, soc, hash, &canonical)
-            {
-                inner.stats.point_hits += 1;
-                let outcome = if waited {
-                    inner.stats.coalesced_served += 1;
-                    CacheOutcome::Coalesced
-                } else {
-                    inner.stats.hits += 1;
-                    CacheOutcome::Hit
-                };
-                return Ok((outcome, response));
+            // Touch: a match moves to the hot end. With no whole-request
+            // entry, a sweep may have computed this exact configuration
+            // as one of its points. Point entries hold only successes, so
+            // a match is a full, free answer.
+            let served = match inner.entries.touch(matches) {
+                Some(entry) => Some(entry.response.clone()),
+                None => {
+                    let point = inner.points.touch(matches).map(|e| e.response.clone());
+                    inner.stats.point_hits += u64::from(point.is_some());
+                    point
+                }
+            };
+            match served {
+                Some(CachedResponse::Success(response)) => {
+                    // The leader-computed vs waiter-coalesced split: a
+                    // direct hit and a waiter waking to find its leader's
+                    // entry are counted apart.
+                    let outcome = if waited {
+                        inner.stats.coalesced_served += 1;
+                        CacheOutcome::Coalesced
+                    } else {
+                        inner.stats.hits += 1;
+                        CacheOutcome::Hit
+                    };
+                    return Ok((outcome, response));
+                }
+                Some(CachedResponse::Negative(error)) => {
+                    inner.stats.negative_hits += 1;
+                    return Err(error);
+                }
+                None => {}
             }
 
             let in_flight = inner
@@ -345,11 +323,7 @@ impl SolutionCache {
                 // Sleep until the leader's guard notifies (or the
                 // slice elapses), then poll our own token: a cancelled
                 // waiter gives up without touching the leader.
-                inner = self
-                    .ready
-                    .wait_timeout(inner, WAIT_SLICE)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                inner = wait(&self.ready, inner);
                 token.check()?;
                 continue;
             }
@@ -358,14 +332,13 @@ impl SolutionCache {
             // the leader path always returns, so a caller leads at most
             // once — a waiter whose leader failed retries into this arm.
             inner.stats.misses += 1;
-            inner.inflight.push((soc, hash, canonical.clone()));
-            drop(inner);
-            let guard = FlightGuard {
-                cache: self,
-                soc,
-                hash,
-                canonical: &canonical,
-            };
+            let flight = Flight::lead(
+                &self.inner,
+                &self.ready,
+                inner,
+                |inner| &mut inner.inflight,
+                (soc, hash, canonical.clone()),
+            );
             let result = (compute.take().expect("leader leads at most once"))();
             match &result {
                 Ok(response) => self.insert(
@@ -384,7 +357,7 @@ impl SolutionCache {
             }
             // Remove the in-flight marker and wake waiters — also runs
             // on unwind if `compute` panicked, so waiters never hang.
-            drop(guard);
+            drop(flight);
             return result.map(|response| (CacheOutcome::Computed, response));
         }
     }
@@ -392,72 +365,23 @@ impl SolutionCache {
     /// Admits a successful response or a deterministic failure, touching
     /// it hottest and applying the caps.
     fn insert(&self, soc: u64, hash: u64, canonical: &str, response: CachedResponse) {
-        let rendered = match &response {
-            CachedResponse::Success(response) => {
-                serde_json::to_string(response).expect("responses serialise")
-            }
-            CachedResponse::Negative(error) => error.to_string(),
-        };
-        let negative = matches!(response, CachedResponse::Negative(_));
-        let bytes = (canonical.len() + rendered.len()) as u64;
-        let mut inner = self.lock();
-        // A resident duplicate is impossible while our in-flight marker
-        // blocks other leaders, but stay defensive: replace, don't stack.
-        if let Some(position) = inner
-            .entries
-            .iter()
-            .position(|entry| entry.matches(soc, hash, canonical))
-        {
-            let replaced = inner.entries.remove(position);
-            inner.resident_bytes -= replaced.bytes;
-        }
-        inner.entries.push(CacheEntry {
+        let entry = CacheEntry {
             hash,
             soc,
             canonical: canonical.to_string(),
             response,
-            bytes,
-        });
-        inner.resident_bytes += bytes;
-        if negative {
+        };
+        let bytes = entry.charge();
+        let mut inner = self.lock();
+        if matches!(entry.response, CachedResponse::Negative(_)) {
             inner.stats.negative_insertions += 1;
         } else {
             inner.stats.insertions += 1;
         }
-        self.evict_entries_over_caps(&mut inner);
-    }
-
-    /// Evicts whole-request entries coldest-first while over either cap,
-    /// always sparing the hottest. The running byte counter makes each
-    /// iteration O(1) instead of re-summing the resident list.
-    fn evict_entries_over_caps(&self, inner: &mut CacheInner) {
-        while (inner.entries.len() > self.max_entries || inner.resident_bytes > self.max_bytes)
-            && inner.entries.len() > 1
-        {
-            let evicted = inner.entries.remove(0);
-            inner.resident_bytes -= evicted.bytes;
-            inner.stats.evictions += 1;
-        }
-        debug_assert_eq!(
-            inner.resident_bytes,
-            inner.entries.iter().map(|entry| entry.bytes).sum::<u64>()
-        );
-    }
-
-    /// The point-index twin of [`SolutionCache::evict_entries_over_caps`],
-    /// under the same caps.
-    fn evict_points_over_caps(&self, inner: &mut CacheInner) {
-        while (inner.points.len() > self.max_entries || inner.point_bytes > self.max_bytes)
-            && inner.points.len() > 1
-        {
-            let evicted = inner.points.remove(0);
-            inner.point_bytes -= evicted.bytes;
-            inner.stats.evictions += 1;
-        }
-        debug_assert_eq!(
-            inner.point_bytes,
-            inner.points.iter().map(|entry| entry.bytes).sum::<u64>()
-        );
+        // A resident duplicate is impossible while our in-flight marker
+        // blocks other leaders, but stay defensive: replace, don't stack.
+        inner.entries.remove(|e| e.matches(soc, hash, canonical));
+        inner.stats.evictions += inner.entries.push(entry, bytes);
     }
 
     /// The memoised success for `request` under session `soc`, from
@@ -470,10 +394,15 @@ impl SolutionCache {
     fn get_point(&self, soc: u64, request: &OptimizeRequest) -> Option<OptimizeResponse> {
         let canonical = canonical_request(request);
         let hash = fnv1a64(&canonical);
+        let matches = |entry: &CacheEntry| entry.matches(soc, hash, &canonical);
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let served = probe_index(&mut inner.entries, soc, hash, &canonical)
-            .or_else(|| probe_index(&mut inner.points, soc, hash, &canonical))?;
+        let served = inner
+            .entries
+            .touch(matches)
+            .or_else(|| inner.points.touch(matches))?
+            .response
+            .clone();
         match served {
             CachedResponse::Success(response) => {
                 inner.stats.point_hits += 1;
@@ -489,27 +418,19 @@ impl SolutionCache {
     /// of one sweep carry bit-identical responses anyway).
     fn put_point(&self, soc: u64, request: &OptimizeRequest, response: &OptimizeResponse) {
         let canonical = canonical_request(request);
-        let hash = fnv1a64(&canonical);
-        let rendered = serde_json::to_string(response).expect("responses serialise");
-        let bytes = (canonical.len() + rendered.len()) as u64;
-        let mut inner = self.lock();
-        let resident = |list: &[CacheEntry]| {
-            list.iter()
-                .any(|entry| entry.matches(soc, hash, &canonical))
-        };
-        if resident(&inner.entries) || resident(&inner.points) {
-            return;
-        }
-        inner.points.push(CacheEntry {
-            hash,
+        let entry = CacheEntry {
+            hash: fnv1a64(&canonical),
             soc,
             canonical,
             response: CachedResponse::Success(response.clone()),
-            bytes,
-        });
-        inner.point_bytes += bytes;
+        };
+        let bytes = entry.charge();
+        let mut inner = self.lock();
+        if inner.is_resident(&entry) {
+            return;
+        }
         inner.stats.point_insertions += 1;
-        self.evict_points_over_caps(&mut inner);
+        inner.stats.evictions += inner.points.push(entry, bytes);
     }
 
     /// Current counters (entry/byte gauges read from the running
@@ -518,9 +439,9 @@ impl SolutionCache {
         let inner = self.lock();
         let mut stats = inner.stats;
         stats.entries = inner.entries.len() as u64;
-        stats.bytes = inner.resident_bytes;
+        stats.bytes = inner.entries.bytes();
         stats.point_entries = inner.points.len() as u64;
-        stats.point_bytes = inner.point_bytes;
+        stats.point_bytes = inner.points.bytes();
         stats
     }
 
@@ -538,7 +459,7 @@ impl SolutionCache {
             for list in [&inner.entries, &inner.points] {
                 let successes: Vec<(&CacheEntry, String)> = list
                     .iter()
-                    .filter_map(|entry| match &entry.response {
+                    .filter_map(|(entry, _)| match &entry.response {
                         CachedResponse::Success(response) => Some((
                             entry,
                             serde_json::to_string(response).expect("responses serialise"),
@@ -573,38 +494,33 @@ impl SolutionCache {
     /// version-mismatched files.
     pub fn load(&self, path: &Path) -> Result<u64, StoreError> {
         let bytes = std::fs::read(path)?;
-        let sections = parse_solutions_file(&bytes)?;
+        let [requests, points] = parse_solutions_file(&bytes)?;
         let mut inner = self.lock();
         let mut merged = 0u64;
-        for (into_points, parsed) in [(false, &sections[0]), (true, &sections[1])] {
+        for (into_points, parsed) in [(false, requests), (true, points)] {
             for (soc, hash, canonical, response, charge) in parsed {
-                let resident = inner
-                    .entries
-                    .iter()
-                    .chain(inner.points.iter())
-                    .any(|entry| entry.matches(*soc, *hash, canonical));
-                if resident {
+                let entry = CacheEntry {
+                    hash,
+                    soc,
+                    canonical,
+                    response: CachedResponse::Success(response),
+                };
+                if inner.is_resident(&entry) {
                     continue;
                 }
-                let entry = CacheEntry {
-                    hash: *hash,
-                    soc: *soc,
-                    canonical: canonical.clone(),
-                    response: CachedResponse::Success(response.clone()),
-                    bytes: *charge,
-                };
-                if into_points {
-                    inner.points.push(entry);
-                    inner.point_bytes += charge;
+                let list = if into_points {
+                    &mut inner.points
                 } else {
-                    inner.entries.push(entry);
-                    inner.resident_bytes += charge;
-                }
+                    &mut inner.entries
+                };
+                list.append(entry, charge);
                 merged += 1;
             }
         }
-        self.evict_entries_over_caps(&mut inner);
-        self.evict_points_over_caps(&mut inner);
+        // The whole file is merged before the caps apply, so a key in
+        // both sections is skipped as resident even if the caps would
+        // have evicted its first copy.
+        inner.stats.evictions += inner.entries.trim() + inner.points.trim();
         Ok(merged)
     }
 
@@ -640,24 +556,13 @@ impl SolutionCache {
     }
 }
 
-/// Removes the leader's in-flight marker and wakes every waiter — on
-/// the normal path *and* when the computation unwinds (an injected
-/// fault, an engine bug), so a dying leader never strands its waiters.
-struct FlightGuard<'a> {
-    cache: &'a SolutionCache,
-    soc: u64,
-    hash: u64,
-    canonical: &'a str,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.cache.lock();
-        inner
-            .inflight
-            .retain(|(s, h, c)| !(*s == self.soc && *h == self.hash && c == self.canonical));
-        drop(inner);
-        self.cache.ready.notify_all();
+impl CacheInner {
+    /// Whether `entry`'s key is resident in either index.
+    fn is_resident(&self, entry: &CacheEntry) -> bool {
+        let matches = |(resident, _): (&CacheEntry, u64)| {
+            resident.matches(entry.soc, entry.hash, &entry.canonical)
+        };
+        self.entries.iter().chain(self.points.iter()).any(matches)
     }
 }
 
@@ -767,6 +672,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
     use std::thread;
+    use std::time::Duration;
 
     fn request(channels: usize) -> OptimizeRequest {
         let cell = TestCell::new(
@@ -782,15 +688,13 @@ mod tests {
         OptimizeResponse::Curves(Vec::with_capacity(marker))
     }
 
-    /// Re-sums both indexes from scratch; the running `resident_bytes` /
-    /// `point_bytes` counters must always equal this, or the O(1)
-    /// eviction accounting has drifted.
+    /// Re-walks both indexes from scratch, re-charging every entry; the
+    /// running byte totals of the two lists must always equal this, or
+    /// the O(1) eviction accounting has drifted.
     fn resummed(cache: &SolutionCache) -> (u64, u64) {
         let inner = cache.lock();
-        (
-            inner.entries.iter().map(|entry| entry.bytes).sum::<u64>(),
-            inner.points.iter().map(|entry| entry.bytes).sum::<u64>(),
-        )
+        let rewalk = |list: &Lru<CacheEntry>| list.iter().map(|(entry, _)| entry.charge()).sum();
+        (rewalk(&inner.entries), rewalk(&inner.points))
     }
 
     /// A self-deleting temp-file path for the persistence tests.
@@ -1384,6 +1288,112 @@ mod tests {
         std::fs::write(&file.0, &pristine).unwrap();
         let target = SolutionCache::new(8, u64::MAX);
         assert_eq!(target.load(&file.0).unwrap(), 2);
+    }
+
+    #[test]
+    fn a_key_in_both_sections_merges_once_before_the_caps_apply() {
+        // A file whose point section repeats the coldest whole-request
+        // key. The whole file merges before the caps apply, so the repeat
+        // is skipped as resident, although the entry cap then evicts its
+        // first copy.
+        let rendered = serde_json::to_string(&response(0)).unwrap();
+        let canonicals = [64, 128, 256].map(|channels| canonical_request(&request(channels)));
+        let bytes = seal_envelope(SOLUTIONS_MAGIC, SOLUTIONS_VERSION, |out| {
+            for section in [&canonicals[..], &canonicals[..1]] {
+                push_u64(out, section.len() as u64);
+                for canonical in section {
+                    push_u64(out, 35);
+                    push_u64(out, fnv1a64(canonical));
+                    push_u64(out, canonical.len() as u64);
+                    out.extend_from_slice(canonical.as_bytes());
+                    push_u64(out, rendered.len() as u64);
+                    out.extend_from_slice(rendered.as_bytes());
+                }
+            }
+        });
+        let file = TempFile::new("both-sections");
+        std::fs::write(&file.0, bytes).unwrap();
+        let cache = SolutionCache::new(2, u64::MAX);
+        assert_eq!(cache.load(&file.0).unwrap(), 3);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.point_entries, stats.evictions),
+            (2, 0, 1)
+        );
+        assert_eq!(cache.get_point(35, &request(64)), None);
+        assert_eq!(cache.get_point(35, &request(256)), Some(response(0)));
+    }
+
+    /// A small deterministic generator for the threaded test: each call
+    /// answers a value below `bound`.
+    fn xorshift(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
+    }
+
+    #[test]
+    fn threaded_operations_keep_the_charges_exact_and_the_caps_held() {
+        // Four threads mix hits, misses, negative and transient failures,
+        // point publishes and point probes over a few keys, under an
+        // entry cap and a byte cap of about three entries. Negative
+        // entries carry messages of random length, so the charges vary.
+        // After the join each index's running total equals a re-walk
+        // that re-charges every entry, neither index is over a cap unless
+        // it holds one entry, no flight is left behind, and every
+        // admitted entry is resident or counted evicted.
+        let max_entries = 4;
+        let max_bytes = 3 * (canonical_request(&request(64)).len() as u64 + 60);
+        let cache = Arc::new(SolutionCache::new(max_entries, max_bytes));
+        let threads: Vec<_> = (0..4)
+            .map(|seed| {
+                let cache = Arc::clone(&cache);
+                thread::spawn(move || {
+                    let mut next = xorshift(seed + 1);
+                    for _ in 0..300 {
+                        let soc = next(3);
+                        let request = request(64 + 32 * next(6) as usize);
+                        match next(5) {
+                            0 => cache.put_point(soc, &request, &response(0)),
+                            1 => drop(cache.get_point(soc, &request)),
+                            kind => {
+                                let message = "x".repeat(next(120) as usize);
+                                let token = CancelToken::new();
+                                let _ = cache.run_coalesced(soc, &request, &token, || match kind {
+                                    2 => Ok(response(0)),
+                                    3 => Err(OptimizeError::InvalidConfig { message }),
+                                    _ => Err(OptimizeError::Cancelled),
+                                });
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.bytes, stats.point_bytes), resummed(&cache));
+        for (entries, bytes) in [
+            (stats.entries, stats.bytes),
+            (stats.point_entries, stats.point_bytes),
+        ] {
+            assert!(
+                entries <= 1 || (entries <= max_entries as u64 && bytes <= max_bytes),
+                "{entries} entries of {bytes} bytes are over a cap"
+            );
+        }
+        assert!(stats.evictions > 0, "the caps were exercised");
+        assert!(cache.lock().inflight.is_empty());
+        assert_eq!(
+            stats.entries + stats.point_entries + stats.evictions,
+            stats.insertions + stats.negative_insertions + stats.point_insertions
+        );
     }
 
     #[test]

@@ -5,13 +5,10 @@
 //! FNV-1a hash of the canonical [`write_soc`] rendering, so an inline
 //! `.soc` document and a named benchmark with identical content share one
 //! warm session (same table, same cached cells) regardless of how the
-//! client spelled them. Sessions are evicted least-recently-used when the
-//! registry exceeds its session-count or memory cap; memory is charged as
-//! each engine's [`Engine::table_memory_bytes`] estimate and re-assessed
-//! after every request (tables grow on demand). The most recently used
-//! session is never evicted — a single session larger than the whole cap
-//! is allowed to exist alone, it just prevents any second resident
-//! session.
+//! client spelled them. The sessions live in one bounded recency list
+//! under the session-count and memory caps (`crate::lru`); each is
+//! charged its engine's [`Engine::table_memory_bytes`] estimate, which is
+//! re-assessed after every request (tables grow on demand).
 //!
 //! A warm lookup does not render the SOC. [`SessionRegistry::get_or_build`]
 //! first compares the request's SOC with `==` against the SOC each
@@ -30,28 +27,22 @@
 //! Cold builds are *coalesced*, not serialised: the registry lock is
 //! released for the whole cold build
 //! ([`EngineBuilder::try_build`](crate::engine::EngineBuilder::try_build)),
-//! with a per-key in-flight
-//! marker (the same leader/waiter protocol as
-//! [`crate::service::cache::SolutionCache`]) keeping duplicate builders
-//! of one SOC behind a single leader while distinct SOCs build
-//! concurrently. One slow cold build therefore never blocks a warm hit,
-//! and a failing or panicking leader releases its waiters to retry.
+//! with a per-key in-flight marker (the leader/waiter protocol of
+//! `crate::lru`, shared with [`crate::service::cache::SolutionCache`])
+//! keeping duplicate builders of one SOC behind a single leader while
+//! distinct SOCs build concurrently. One slow cold build therefore never
+//! blocks a warm hit, and a failing or panicking leader releases its
+//! waiters to retry.
 
 use crate::engine::Engine;
 use crate::error::OptimizeError;
+use crate::lru::{wait, Flight, Lru};
 use crate::service::cache::{SessionPointMemo, SolutionCache};
 use crate::service::faults::{FaultPlan, Stage};
 use soctest_soc_model::writer::write_soc;
 use soctest_soc_model::Soc;
 use soctest_tam::RowStore;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
-
-/// How long a waiter sleeps between re-checks of the slots while an
-/// identical cold build is in flight. Purely a latency bound on rare
-/// wake-up races: the leader's guard notifies the condvar the moment
-/// the build lands (or fails).
-const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 /// FNV-1a 64-bit over the canonical SOC text — stable, dependency-free,
 /// and plenty for distinguishing SOC descriptions (collisions would only
@@ -78,8 +69,6 @@ struct SessionSlot {
     canonical: Arc<str>,
     /// The warm engine.
     engine: Arc<Engine>,
-    /// Last-assessed [`Engine::table_memory_bytes`].
-    bytes: u64,
 }
 
 /// Registry counters, exposed for the service's `Bye` statistics.
@@ -90,7 +79,8 @@ pub struct RegistryStats {
     pub hits: u64,
     /// Requests that had to build a session.
     pub misses: u64,
-    /// Sessions built (equals `misses`; kept separate for clarity).
+    /// Sessions built and admitted. A build that fails validation
+    /// counts a miss but no creation.
     pub created: u64,
     /// Sessions evicted by the LRU / memory cap.
     pub evictions: u64,
@@ -122,13 +112,10 @@ pub struct SessionHandle {
 /// by a session count and a memory cap. See the [module docs](self).
 #[derive(Debug)]
 pub struct SessionRegistry {
-    /// Slots in LRU order: index 0 is the coldest.
     inner: Mutex<RegistryInner>,
     /// Signalled whenever a cold-build leader finishes (successfully or
     /// not) so waiters re-check the slots.
     build_ready: Condvar,
-    max_sessions: usize,
-    max_table_bytes: u64,
     /// When set, every built engine shares this row store, so module
     /// time rows survive session eviction and are shared across SOCs
     /// with equal-shaped modules.
@@ -142,28 +129,29 @@ pub struct SessionRegistry {
     faults: FaultPlan,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RegistryInner {
-    slots: Vec<SessionSlot>,
+    /// The resident sessions, each charged its last-assessed
+    /// [`Engine::table_memory_bytes`].
+    slots: Lru<SessionSlot>,
     /// Keys whose cold build is currently led by some caller.
     inflight: Vec<(u64, Arc<str>)>,
     stats: RegistryStats,
 }
 
 impl RegistryInner {
-    /// Serves a warm hit on the slot at `position`: touches it (moves it
-    /// to the hot end) and counts the hit.
-    fn hit(&mut self, position: usize) -> SessionHandle {
-        let slot = self.slots.remove(position);
+    /// Serves a warm hit on the first slot `matches` accepts: touches it
+    /// (moves it to the hot end) and counts the hit.
+    fn hit(&mut self, matches: impl FnMut(&SessionSlot) -> bool) -> Option<SessionHandle> {
+        let slot = self.slots.touch(matches)?;
         let handle = SessionHandle {
             engine: Arc::clone(&slot.engine),
             warm: true,
             key: slot.hash,
             canonical: Arc::clone(&slot.canonical),
         };
-        self.slots.push(slot);
         self.stats.hits += 1;
-        handle
+        Some(handle)
     }
 }
 
@@ -173,10 +161,12 @@ impl SessionRegistry {
     /// least one session).
     pub fn new(max_sessions: usize, max_table_bytes: u64) -> Self {
         SessionRegistry {
-            inner: Mutex::new(RegistryInner::default()),
+            inner: Mutex::new(RegistryInner {
+                slots: Lru::new(max_sessions, max_table_bytes),
+                inflight: Vec::new(),
+                stats: RegistryStats::default(),
+            }),
             build_ready: Condvar::new(),
-            max_sessions: max_sessions.max(1),
-            max_table_bytes,
             row_store: None,
             solution_cache: None,
             faults: FaultPlan::default(),
@@ -224,26 +214,20 @@ impl SessionRegistry {
     /// SOC fails validation (via [`crate::engine::EngineBuilder::try_build`]) —
     /// nothing is admitted in that case.
     pub fn get_or_build(&self, soc: &Soc) -> Result<SessionHandle, OptimizeError> {
-        {
-            let mut inner = self.lock();
-            if let Some(position) = inner.slots.iter().position(|slot| slot.engine.soc() == soc) {
-                return Ok(inner.hit(position));
-            }
+        if let Some(handle) = self.lock().hit(|slot| slot.engine.soc() == soc) {
+            return Ok(handle);
         }
         let canonical: Arc<str> = write_soc(soc).into();
         let hash = fnv1a64(&canonical);
+        let matches = |slot: &SessionSlot| slot.hash == hash && slot.canonical == canonical;
         let mut waited = false;
         let mut inner = self.lock();
         loop {
-            if let Some(position) = inner
-                .slots
-                .iter()
-                .position(|slot| slot.hash == hash && slot.canonical == canonical)
-            {
+            if let Some(handle) = inner.hit(matches) {
                 // A waiter that wakes to find the leader's slot counts
                 // as a plain hit — same observable outcome as the old
                 // serialized behaviour.
-                return Ok(inner.hit(position));
+                return Ok(handle);
             }
 
             let in_flight = inner
@@ -258,40 +242,33 @@ impl SessionRegistry {
                     waited = true;
                     inner.stats.coalesced_builds += 1;
                 }
-                inner = self
-                    .build_ready
-                    .wait_timeout(inner, WAIT_SLICE)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
+                inner = wait(&self.build_ready, inner);
                 continue;
             }
 
             // Lead: plant the in-flight marker, drop the lock, build.
             inner.stats.misses += 1;
-            inner.inflight.push((hash, Arc::clone(&canonical)));
-            drop(inner);
-            let _guard = BuildGuard {
-                registry: self,
-                hash,
-                canonical: Arc::clone(&canonical),
-            };
+            let _flight = Flight::lead(
+                &self.inner,
+                &self.build_ready,
+                inner,
+                |inner| &mut inner.inflight,
+                (hash, Arc::clone(&canonical)),
+            );
             // The guard's Drop clears the marker and wakes waiters on
             // the error return below and on unwind alike.
             let engine = Arc::new(self.build_engine(soc, hash)?);
             let bytes = engine.table_memory_bytes();
-            let mut inner = self.lock();
-            // Double-checked insert: never stack a duplicate slot.
-            inner
-                .slots
-                .retain(|slot| !(slot.hash == hash && slot.canonical == canonical));
-            inner.stats.created += 1;
-            inner.slots.push(SessionSlot {
+            let slot = SessionSlot {
                 hash,
                 canonical: Arc::clone(&canonical),
                 engine: Arc::clone(&engine),
-                bytes,
-            });
-            self.evict_over_caps(&mut inner);
+            };
+            let mut inner = self.lock();
+            // Double-checked insert: never stack a duplicate slot.
+            inner.slots.remove(matches);
+            inner.stats.created += 1;
+            inner.stats.evictions += inner.slots.push(slot, bytes);
             drop(inner);
             return Ok(SessionHandle {
                 engine,
@@ -324,21 +301,17 @@ impl SessionRegistry {
     /// land on the session that actually ran, not a hash twin.
     pub fn reassess(&self, key: u64, canonical: &str) {
         let mut inner = self.lock();
-        if let Some(slot) = inner
-            .slots
-            .iter_mut()
-            .find(|slot| slot.hash == key && slot.canonical.as_ref() == canonical)
-        {
-            slot.bytes = slot.engine.table_memory_bytes();
-        }
-        self.evict_over_caps(&mut inner);
+        inner.stats.evictions += inner.slots.recharge(
+            |slot| slot.hash == key && slot.canonical.as_ref() == canonical,
+            |slot| slot.engine.table_memory_bytes(),
+        );
     }
 
-    /// Current counters (bytes recomputed from the resident slots).
+    /// Current counters (bytes read from the running charge total).
     pub fn stats(&self) -> RegistryStats {
         let inner = self.lock();
         let mut stats = inner.stats;
-        stats.current_bytes = inner.slots.iter().map(|slot| slot.bytes).sum();
+        stats.current_bytes = inner.slots.bytes();
         stats
     }
 
@@ -352,44 +325,11 @@ impl SessionRegistry {
         self.len() == 0
     }
 
-    /// Evicts coldest-first while over either cap, always sparing the
-    /// hottest slot.
-    fn evict_over_caps(&self, inner: &mut RegistryInner) {
-        loop {
-            let total: u64 = inner.slots.iter().map(|slot| slot.bytes).sum();
-            let over = inner.slots.len() > self.max_sessions || total > self.max_table_bytes;
-            if !over || inner.slots.len() <= 1 {
-                break;
-            }
-            inner.slots.remove(0);
-            inner.stats.evictions += 1;
-        }
-    }
-
     // A panicking request can never leave the registry mid-mutation (all
     // mutations happen outside the optimizer's unwind path), so poisoning
     // only records that *some* thread panicked — recover the data.
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Clears the leader's in-flight marker and wakes waiters, whether the
-/// build succeeded, returned an error, or panicked.
-struct BuildGuard<'a> {
-    registry: &'a SessionRegistry,
-    hash: u64,
-    canonical: Arc<str>,
-}
-
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.registry.lock();
-        inner
-            .inflight
-            .retain(|(h, c)| !(*h == self.hash && *c == self.canonical));
-        drop(inner);
-        self.registry.build_ready.notify_all();
     }
 }
 
@@ -399,6 +339,7 @@ mod tests {
     use soctest_soc_model::benchmarks::{d695, p22810};
     use soctest_soc_model::parser::parse_soc;
     use soctest_soc_model::{Module, Soc};
+    use std::time::Duration;
 
     #[test]
     fn same_content_shares_a_session_across_spellings() {
@@ -606,18 +547,22 @@ mod tests {
         let engine_b = Arc::new(Engine::builder(&d695()).try_build().unwrap());
         {
             let mut inner = registry.lock();
-            inner.slots.push(SessionSlot {
-                hash: 42,
-                canonical: "a".into(),
-                engine: Arc::clone(&engine_a),
-                bytes: 7,
-            });
-            inner.slots.push(SessionSlot {
-                hash: 42,
-                canonical: "b".into(),
-                engine: Arc::clone(&engine_b),
-                bytes: 7,
-            });
+            inner.slots.push(
+                SessionSlot {
+                    hash: 42,
+                    canonical: "a".into(),
+                    engine: Arc::clone(&engine_a),
+                },
+                7,
+            );
+            inner.slots.push(
+                SessionSlot {
+                    hash: 42,
+                    canonical: "b".into(),
+                    engine: Arc::clone(&engine_b),
+                },
+                7,
+            );
         }
         // Widen b's table by serving a request on it.
         use crate::engine::OptimizeRequest;
@@ -636,8 +581,8 @@ mod tests {
             inner
                 .slots
                 .iter()
-                .find(|slot| slot.canonical.as_ref() == canonical)
-                .map(|slot| slot.bytes)
+                .find(|(slot, _)| slot.canonical.as_ref() == canonical)
+                .map(|(_, bytes)| bytes)
                 .unwrap()
         };
         assert_eq!(charge("a"), 7, "hash twin must keep its stale charge");
@@ -716,6 +661,82 @@ mod tests {
         assert_eq!(stats.created, 0);
         assert!(registry.is_empty());
         assert!(registry.lock().inflight.is_empty());
+    }
+
+    #[test]
+    fn threaded_operations_keep_the_charges_exact_and_the_caps_held() {
+        // Four threads build, run and reassess five small SOCs under a
+        // two-session cap and a byte cap about one and a half grown
+        // tables wide. After the join every resident charge equals its
+        // engine's table memory now (each run is followed by its
+        // reassess), the running total equals that re-walk, the caps
+        // hold, no flight is left behind, and every session created is
+        // resident or counted evicted.
+        use crate::engine::OptimizeRequest;
+        use crate::problem::OptimizerConfig;
+        use soctest_ate::{AteSpec, ProbeStation, TestCell};
+        let request = |channels: usize| {
+            let cell = TestCell::new(
+                AteSpec::new(channels, 96 * 1024, 5.0e6),
+                ProbeStation::paper_probe_station(),
+            );
+            OptimizeRequest::new(OptimizerConfig::new(cell))
+        };
+        let socs: Vec<Soc> = (1..=5u64)
+            .map(|k| {
+                let mut soc = Soc::new(format!("tiny{k}"));
+                soc.push_module(
+                    Module::builder("m")
+                        .patterns(3 + k)
+                        .inputs(2)
+                        .outputs(2)
+                        .scan_chain(8 * k)
+                        .build(),
+                );
+                soc
+            })
+            .collect();
+        let grown = Engine::builder(&socs[4]).try_build().unwrap();
+        grown.run(&request(64)).unwrap();
+        let max_bytes = grown.table_memory_bytes() * 3 / 2;
+        let registry = Arc::new(SessionRegistry::new(2, max_bytes));
+        std::thread::scope(|scope| {
+            for seed in 1..=4u64 {
+                let (registry, socs) = (&registry, &socs);
+                scope.spawn(move || {
+                    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                    let mut next = |bound: u64| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state % bound
+                    };
+                    for _ in 0..25 {
+                        let soc = &socs[next(socs.len() as u64) as usize];
+                        let handle = registry.get_or_build(soc).unwrap();
+                        let channels = 16 + 16 * next(4) as usize;
+                        handle.engine.run(&request(channels)).unwrap();
+                        registry.reassess(handle.key, &handle.canonical);
+                    }
+                });
+            }
+        });
+        let stats = registry.stats();
+        let inner = registry.lock();
+        let mut rewalk = 0;
+        for (slot, charge) in inner.slots.iter() {
+            assert_eq!(charge, slot.engine.table_memory_bytes());
+            rewalk += charge;
+        }
+        assert_eq!(stats.current_bytes, rewalk);
+        let resident = inner.slots.len() as u64;
+        assert!(
+            resident <= 1 || (resident <= 2 && rewalk <= max_bytes),
+            "{resident} sessions of {rewalk} bytes are over a cap"
+        );
+        assert!(stats.evictions > 0, "the caps were exercised");
+        assert!(inner.inflight.is_empty());
+        assert_eq!(stats.created, resident + stats.evictions);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::service::resolve_named_soc;
 use soctest_soc_model::parser::parse_soc;
 use soctest_soc_model::validate::{Severity, ValidationIssue};
 use soctest_soc_model::Soc;
-use soctest_tam::RowStore;
+use soctest_tam::{RowStore, StoreError};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -347,8 +347,13 @@ impl Server {
         ));
         let store_cells_loaded = match &config.cache_dir {
             Some(dir) => {
-                load_solution_cache(&solutions, dir, &config.faults);
-                load_row_store(&row_store, dir, &config.faults)
+                let faults = &config.faults;
+                load_isolated("solution cache", dir, SOLUTIONS_FILE, faults, |path| {
+                    solutions.load_if_present(path)
+                });
+                load_isolated("row cache", dir, ROWS_FILE, faults, |path| {
+                    row_store.load_if_present(path)
+                })
             }
             None => 0,
         };
@@ -715,17 +720,10 @@ impl Server {
         stats.evictions = registry.evictions;
         // Persist the row store before `Bye` so the saved-row count can
         // ride in the statistics frame.
-        let store_rows_saved = match (&self.config.cache_dir, conn.persist_on_bye) {
-            (Some(dir), true) => {
-                save_solution_cache(&self.solutions, dir, &self.config.faults);
-                save_row_store(
-                    &self.row_store,
-                    dir,
-                    self.config.max_store_bytes,
-                    &self.config.faults,
-                )
-            }
-            _ => 0,
+        let store_rows_saved = if conn.persist_on_bye {
+            self.save_store_now()
+        } else {
+            0
         };
         let solutions = self.solutions.stats();
         stats.cache = CacheStats {
@@ -832,21 +830,23 @@ impl Server {
         }
     }
 
-    /// Persists the row store and solution cache now (transport drain);
-    /// `0` without a configured cache dir.
+    /// Persists the solution cache and the row store now (a persisting
+    /// connection's `Bye`, or the transport's drain) and returns the rows
+    /// saved; `0` without a configured cache dir.
     pub(crate) fn save_store_now(&self) -> u64 {
-        match &self.config.cache_dir {
-            Some(dir) => {
-                save_solution_cache(&self.solutions, dir, &self.config.faults);
-                save_row_store(
-                    &self.row_store,
-                    dir,
-                    self.config.max_store_bytes,
-                    &self.config.faults,
-                )
-            }
-            None => 0,
-        }
+        let Some(dir) = &self.config.cache_dir else {
+            return 0;
+        };
+        let faults = &self.config.faults;
+        save_isolated("solution cache", dir, SOLUTIONS_FILE, faults, |path| {
+            self.solutions.save(path).map(|()| 0)
+        });
+        // With a byte bound the coldest-touched rows are dropped until
+        // the file fits.
+        let cap = self.config.max_store_bytes.unwrap_or(u64::MAX);
+        save_isolated("row cache", dir, ROWS_FILE, faults, |path| {
+            self.row_store.save_capped(path, cap)
+        })
     }
 
     /// Serves one admitted request, converting every failure mode —
@@ -966,91 +966,35 @@ fn claim(conn: &Connection, seq: u64) -> Job {
     }
 }
 
-/// Loads the persisted row store from `dir`, isolating every failure
-/// mode — I/O errors, corruption, and injected store-stage panics —
-/// into a stderr warning and a cold store. Returns the cells merged.
-fn load_row_store(store: &Arc<RowStore>, dir: &Path, faults: &FaultPlan) -> u64 {
-    let path = dir.join(ROWS_FILE);
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        faults.fire(Stage::Store, "load");
-        store.load_if_present(&path)
-    }));
-    match attempt {
-        Ok(Ok(cells)) => cells,
-        Ok(Err(error)) => {
-            eprintln!(
-                "warning: ignoring row cache {}: {error}; starting cold",
-                path.display()
-            );
-            0
-        }
-        Err(payload) => {
-            eprintln!(
-                "warning: row cache load panicked: {}; starting cold",
-                panic_message(payload.as_ref())
-            );
-            0
-        }
-    }
-}
-
-/// Saves the row store into `dir` (created if absent) with the same
-/// isolation as [`load_row_store`]: a failed save costs the cache, not
-/// the session. With a byte bound the coldest-touched rows are dropped
-/// until the file fits. Returns the rows written (0 on failure).
-fn save_row_store(
-    store: &Arc<RowStore>,
+/// Loads the cache file `file` of `dir` with `load`, isolating every
+/// failure mode — I/O errors, corruption, and injected store-stage
+/// panics — into a stderr warning about the `noun` and a cold start. A
+/// missing file is `load`'s to treat as empty. Returns what `load`
+/// counted (0 on failure).
+fn load_isolated(
+    noun: &str,
     dir: &Path,
-    max_bytes: Option<u64>,
+    file: &str,
     faults: &FaultPlan,
+    load: impl FnOnce(&Path) -> Result<u64, StoreError>,
 ) -> u64 {
-    let path = dir.join(ROWS_FILE);
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        faults.fire(Stage::Store, "save");
-        std::fs::create_dir_all(dir)?;
-        store.save_capped(&path, max_bytes.unwrap_or(u64::MAX))
-    }));
-    match attempt {
-        Ok(Ok(rows)) => rows,
-        Ok(Err(error)) => {
-            eprintln!(
-                "warning: failed to save row cache {}: {error}",
-                path.display()
-            );
-            0
-        }
-        Err(payload) => {
-            eprintln!(
-                "warning: row cache save panicked: {}; cache not written",
-                panic_message(payload.as_ref())
-            );
-            0
-        }
-    }
-}
-
-/// Loads the persisted solution cache from `dir` with the failure
-/// isolation of [`load_row_store`]: a missing file is an empty cache, a
-/// corrupt one is a stderr warning and a clean miss. Returns the
-/// entries merged.
-fn load_solution_cache(cache: &Arc<SolutionCache>, dir: &Path, faults: &FaultPlan) -> u64 {
-    let path = dir.join(SOLUTIONS_FILE);
+    let path = dir.join(file);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         faults.fire(Stage::Store, "load");
-        cache.load_if_present(&path)
+        load(&path)
     }));
     match attempt {
-        Ok(Ok(entries)) => entries,
+        Ok(Ok(count)) => count,
         Ok(Err(error)) => {
             eprintln!(
-                "warning: ignoring solution cache {}: {error}; starting cold",
+                "warning: ignoring {noun} {}: {error}; starting cold",
                 path.display()
             );
             0
         }
         Err(payload) => {
             eprintln!(
-                "warning: solution cache load panicked: {}; starting cold",
+                "warning: {noun} load panicked: {}; starting cold",
                 panic_message(payload.as_ref())
             );
             0
@@ -1058,28 +1002,35 @@ fn load_solution_cache(cache: &Arc<SolutionCache>, dir: &Path, faults: &FaultPla
     }
 }
 
-/// Saves the solution cache into `dir` (created if absent) with the
-/// same isolation as [`save_row_store`].
-fn save_solution_cache(cache: &Arc<SolutionCache>, dir: &Path, faults: &FaultPlan) {
-    let path = dir.join(SOLUTIONS_FILE);
+/// Saves the cache file `file` into `dir` (created if absent) with
+/// `save`, with the isolation of [`load_isolated`]: a failed save costs
+/// the cache, not the session. Returns what `save` counted (0 on
+/// failure).
+fn save_isolated(
+    noun: &str,
+    dir: &Path,
+    file: &str,
+    faults: &FaultPlan,
+    save: impl FnOnce(&Path) -> std::io::Result<u64>,
+) -> u64 {
+    let path = dir.join(file);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         faults.fire(Stage::Store, "save");
         std::fs::create_dir_all(dir)?;
-        cache.save(&path)
+        save(&path)
     }));
     match attempt {
-        Ok(Ok(())) => {}
+        Ok(Ok(count)) => count,
         Ok(Err(error)) => {
-            eprintln!(
-                "warning: failed to save solution cache {}: {error}",
-                path.display()
-            );
+            eprintln!("warning: failed to save {noun} {}: {error}", path.display());
+            0
         }
         Err(payload) => {
             eprintln!(
-                "warning: solution cache save panicked: {}; cache not written",
+                "warning: {noun} save panicked: {}; cache not written",
                 panic_message(payload.as_ref())
             );
+            0
         }
     }
 }
