@@ -3,13 +3,14 @@
 
 use soctest_ate::AteCostModel;
 use soctest_bench::{paper_config, pnx_soc};
-use soctest_multisite::sweep::cost_effectiveness;
+use soctest_multisite::Engine;
 
 fn main() {
     let soc = pnx_soc();
     let config = paper_config();
     let prices = AteCostModel::paper_prices();
-    let result = cost_effectiveness(&soc, &config, &prices)
+    let result = Engine::new(&soc)
+        .cost_effectiveness(&config, &prices)
         .expect("the PNX8550 stand-in fits the paper ATE");
 
     println!("=== Section 7 cost analysis: memory depth vs. channel count ===");

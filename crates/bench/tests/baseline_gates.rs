@@ -22,13 +22,12 @@ use soctest_bench::{
     fig6a_channel_counts, fig6b_depths, fig7a_contact_yields, fig7b_manufacturing_yields,
     paper_config, pnx_soc,
 };
-use soctest_multisite::engine::{Engine, OptimizeRequest, OptimizeResponse, SweepAxis};
+use soctest_multisite::engine::{
+    Engine, OptimizeRequest, OptimizeResponse, RequestTrace, SweepAxis,
+};
 use soctest_multisite::optimizer::optimize_with_table;
 use soctest_multisite::problem::OptimizerConfig;
 use soctest_multisite::service::{CacheOutcome, CancelToken, SessionPointMemo, SolutionCache};
-use soctest_multisite::sweep::{
-    abort_on_fail_sweep, channel_sweep, contact_yield_sweep, depth_sweep,
-};
 use soctest_multisite::OptimizeError;
 use soctest_tam::{max_tam_width, LazyTimeTable, RowStore, TimeTable};
 use soctest_wrapper::lpt::{lpt_partition, lpt_partition_reference};
@@ -165,47 +164,40 @@ fn lazy_table_matches_eager_and_stays_lazy() {
 
 #[test]
 fn engine_batch_matches_the_per_call_sweeps() {
+    // Each figure request served alone on a fresh engine, against the
+    // same request inside the shared-table batch.
     let pnx = pnx_soc();
-    let config = paper_config();
-    let depths = fig6b_depths();
-    let batched = feasible(Engine::new(&pnx).run_batch(&figure_batch(config)));
-    let curves = |index: usize| {
-        batched[index]
-            .curves()
-            .expect("sweeping requests answer with curves")
-    };
-    assert_eq!(
-        curves(0)[0].points,
-        channel_sweep(&pnx, &config, &fig6a_channel_counts()).expect("feasible"),
-        "engine batch and per-call channel sweep disagree"
-    );
-    assert_eq!(
-        curves(1)[0].points,
-        depth_sweep(&pnx, &config, &depths).expect("feasible"),
-        "engine batch and per-call depth sweep disagree"
-    );
-    assert_eq!(
-        curves(2),
-        contact_yield_sweep(&pnx, &config, &depths, &fig7a_contact_yields())
-            .expect("feasible")
-            .as_slice(),
-        "engine batch and per-call contact-yield sweep disagree"
-    );
-    assert_eq!(
-        curves(3),
-        abort_on_fail_sweep(&pnx, &config, 8, &fig7b_manufacturing_yields())
-            .expect("feasible")
-            .as_slice(),
-        "engine batch and per-call abort-on-fail sweep disagree"
-    );
+    let batch = figure_batch(paper_config());
+    let batched = feasible(Engine::new(&pnx).run_batch(&batch));
+    assert_eq!(batched.len(), batch.len());
+    let sweeps = ["channel", "depth", "contact-yield", "abort-on-fail"];
+    for ((request, response), sweep) in batch.iter().zip(&batched).zip(sweeps) {
+        let alone = Engine::new(&pnx)
+            .run(request)
+            .expect("every figure request is feasible");
+        assert_eq!(
+            response, &alone,
+            "engine batch and per-call {sweep} sweep disagree"
+        );
+    }
 }
 
 #[test]
 fn traced_batch_matches_the_untraced_one() {
+    // The figure requests traced one by one on one engine; their traces
+    // merge into the batch's cost.
     let pnx = pnx_soc();
     let batch = figure_batch(paper_config());
     let plain = Engine::new(&pnx).run_batch(&batch);
-    let (observed, trace) = Engine::new(&pnx).run_batch_traced(&batch);
+    let engine = Engine::new(&pnx);
+    let token = CancelToken::new();
+    let (observed, traces): (Vec<_>, Vec<_>) = batch
+        .iter()
+        .map(|request| engine.run_with_cancel_traced(request, &token))
+        .unzip();
+    let trace = traces
+        .iter()
+        .fold(RequestTrace::default(), |sum, next| sum.merge(next));
     assert_eq!(
         plain, observed,
         "traced figure batch diverged from the untraced one"
@@ -321,7 +313,8 @@ fn memoised_sweep_points_answer_the_plain_request_with_zero_cells() {
     let bare = Engine::new(&pnx)
         .run(sweep_request)
         .expect("the fig6a sweep is feasible");
-    let (first, cold_trace) = memo_engine().run_traced(sweep_request);
+    let token = CancelToken::new();
+    let (first, cold_trace) = memo_engine().run_with_cancel_traced(sweep_request, &token);
     assert_eq!(
         first.expect("the fig6a sweep is feasible"),
         bare,
@@ -330,7 +323,7 @@ fn memoised_sweep_points_answer_the_plain_request_with_zero_cells() {
     assert_eq!(cold_trace.points_computed, channels.len() as u64);
 
     // A fresh engine over the warmed cache reuses every point.
-    let (second, warm_trace) = memo_engine().run_traced(sweep_request);
+    let (second, warm_trace) = memo_engine().run_with_cancel_traced(sweep_request, &token);
     assert_eq!(second.expect("the fig6a sweep is feasible"), bare);
     assert_eq!(
         warm_trace.points_reused,

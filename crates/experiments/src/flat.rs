@@ -110,10 +110,8 @@ pub fn flat_tier() -> Artifact {
                 ProbeStation::paper_probe_station(),
             );
             let config = OptimizerConfig::new(cell);
-            // Flatten once and optimize that same instance directly
-            // (`optimize_flat` is a flatten-then-optimize wrapper; going
-            // through it would flatten a second time and decouple the
-            // reported shape from the optimized one).
+            // Flatten once and optimize that same instance, so the
+            // reported shape is the optimized one.
             let flat = flatten_soc(&workload.soc);
             let solution = Engine::builder(&flat)
                 .max_channels(workload.ate_channels)

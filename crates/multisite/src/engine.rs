@@ -4,9 +4,7 @@
 //! The paper's evaluation (Section 7) is thousands of optimizer
 //! invocations over **one** SOC with only the test-cell and yield
 //! parameters varying — the shape of a high-traffic batch service. The
-//! free functions ([`crate::optimizer::optimize`] and the
-//! [`crate::sweep`] family) each wire their own [`LazyTimeTable`] and
-//! their own parallelism per call; the [`Engine`] turns that inside out:
+//! [`Engine`] serves that shape as one session per SOC:
 //!
 //! * an `Engine` is built **per SOC** (builder pattern) and owns the
 //!   widest-needed demand-driven [`LazyTimeTable`] — cells computed on
@@ -27,9 +25,11 @@
 //!   thread (results are bit-identical at any cap — see
 //!   `tests/sweep_determinism.rs`).
 //!
-//! Results are bit-identical to the legacy free functions
-//! (`tests/engine_equivalence.rs`); the free functions themselves are
-//! kept as thin shims over a one-shot engine.
+//! Every sweep and driver runs the optimizer through these requests.
+//! Results are bit-identical to the reference path,
+//! [`crate::optimizer::optimize_with_table`] over a per-call table
+//! (`tests/engine_equivalence.rs`); [`crate::optimizer::optimize`] is the
+//! one one-shot shim over a throwaway engine.
 //!
 //! # Example
 //!
@@ -389,12 +389,11 @@ enum EngineValidation {
     Invalid { issues: Vec<ValidationIssue> },
 }
 
-/// What serving one request (or one batch) cost, attributed by epoch
-/// diffs taken around the run: table materialisation, row-store traffic,
-/// pool occupancy, cancellation probes, wall/CPU time.
+/// What serving one request cost, attributed by epoch diffs taken around
+/// the run: table materialisation, row-store traffic, pool occupancy,
+/// cancellation probes, wall/CPU time.
 ///
-/// Produced by [`Engine::run_traced`], [`Engine::run_with_cancel_traced`]
-/// and [`Engine::run_batch_traced`]; aggregated with
+/// Produced by [`Engine::run_with_cancel_traced`]; aggregated with
 /// [`RequestTrace::merge`] (the service folds per-request traces into its
 /// final `Bye` summary this way).
 ///
@@ -406,8 +405,8 @@ enum EngineValidation {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct RequestTrace {
-    /// Requests accounted: 1 per traced run, the batch length per traced
-    /// batch; sums under [`RequestTrace::merge`].
+    /// Requests accounted: 1 per traced run; sums under
+    /// [`RequestTrace::merge`].
     pub requests: u64,
     /// Wall-clock nanoseconds spent serving.
     pub wall_nanos: u64,
@@ -508,28 +507,22 @@ struct TraceTimer {
 }
 
 impl TraceTimer {
-    fn begin(engine: &Engine, table: &LazyTimeTable, token: Option<&CancelToken>) -> TraceTimer {
+    fn begin(engine: &Engine, table: &LazyTimeTable, token: &CancelToken) -> TraceTimer {
         TraceTimer {
             started: Instant::now(),
             cpu_nanos: process_cpu_nanos(),
             table: table.stats_epoch(),
             store: table.store().map(|s| s.stats()).unwrap_or_default(),
             pool: rayon::pool_stats(),
-            polls: token.map(CancelToken::polls).unwrap_or(0),
+            polls: token.polls(),
             points_reused: engine.points_reused.load(Ordering::Relaxed),
             points_computed: engine.points_computed.load(Ordering::Relaxed),
         }
     }
 
-    fn finish(
-        self,
-        requests: u64,
-        engine: &Engine,
-        table: &LazyTimeTable,
-        token: Option<&CancelToken>,
-    ) -> RequestTrace {
+    fn finish(self, engine: &Engine, table: &LazyTimeTable, token: &CancelToken) -> RequestTrace {
         RequestTrace {
-            requests,
+            requests: 1,
             wall_nanos: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             cpu_nanos: process_cpu_nanos().saturating_sub(self.cpu_nanos),
             table_width: table.max_width(),
@@ -540,10 +533,7 @@ impl TraceTimer {
                 .unwrap_or_default()
                 .delta_since(&self.store),
             pool: rayon::pool_stats().delta_since(&self.pool),
-            cancel_probes: token
-                .map(CancelToken::polls)
-                .unwrap_or(0)
-                .saturating_sub(self.polls),
+            cancel_probes: token.polls().saturating_sub(self.polls),
             points_reused: engine
                 .points_reused
                 .load(Ordering::Relaxed)
@@ -714,13 +704,6 @@ impl Engine {
         &self.soc
     }
 
-    /// A shared handle to the engine's SOC (no clone). Useful for
-    /// building further sessions over the same SOC via
-    /// [`Engine::builder_arc`].
-    pub fn soc_arc(&self) -> Arc<Soc> {
-        Arc::clone(&self.soc)
-    }
-
     /// Name of the SOC this engine optimizes.
     pub fn soc_name(&self) -> &str {
         self.soc.name()
@@ -795,12 +778,6 @@ impl Engine {
         }
     }
 
-    /// Whether requests and sweeps run on the rayon pool (`true`) or
-    /// inline on the calling thread.
-    pub fn is_parallel(&self) -> bool {
-        self.thread_cap() > 1
-    }
-
     /// The engine's effective parallelism cap per layer: the builder's
     /// [`EngineBuilder::threads`] cap, or the pool size.
     fn thread_cap(&self) -> usize {
@@ -840,37 +817,16 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`OptimizeError`] exactly as the corresponding free function: an
-    /// invalid config, an SOC that failed validation at build time, or an
-    /// SOC/test-cell combination with no feasible architecture (for
-    /// sweeps, the first failing point in input order).
+    /// [`OptimizeError`]: an invalid config, an SOC that failed
+    /// validation at build time, or an SOC/test-cell combination with no
+    /// feasible architecture (for sweeps, the first failing point in
+    /// input order).
     pub fn run(&self, request: &OptimizeRequest) -> Result<OptimizeResponse, OptimizeError> {
         if let Some(err) = self.invalid_error() {
             return Err(err);
         }
         let table = self.table_for(request.needed_width());
         self.run_on(table.as_ref(), None, request)
-    }
-
-    /// [`Engine::run`] plus attribution: returns the response together
-    /// with a [`RequestTrace`] of exactly what serving it cost (epoch
-    /// diffs of the table, row store and pool taken around the run).
-    ///
-    /// The response is bit-identical to [`Engine::run`] — tracing only
-    /// reads counters. The trace's store snapshot walks the resident
-    /// rows, so the untraced [`Engine::run`] stays the hot path.
-    pub fn run_traced(
-        &self,
-        request: &OptimizeRequest,
-    ) -> (Result<OptimizeResponse, OptimizeError>, RequestTrace) {
-        if let Some(err) = self.invalid_error() {
-            return (Err(err), self.rejection_trace(1));
-        }
-        let table = self.table_for(request.needed_width());
-        let timer = TraceTimer::begin(self, &table, None);
-        let result = self.run_on(table.as_ref(), None, request);
-        let trace = timer.finish(1, self, &table, None);
-        (result, trace)
     }
 
     /// Serves one request under a cooperative [`CancelToken`]: the token
@@ -903,27 +859,32 @@ impl Engine {
         self.run_cancellable_on(table.as_ref(), token, request)
     }
 
-    /// [`Engine::run_with_cancel`] plus attribution — the traced variant
-    /// the service's executor uses to build per-request `stats` blocks.
-    /// The trace's `cancel_probes` counts every poll of `token` during
-    /// the run (sweep-point checks and table-row probes alike).
+    /// [`Engine::run_with_cancel`] plus attribution: returns the response
+    /// together with a [`RequestTrace`] of exactly what serving it cost
+    /// (epoch diffs of the table, row store and pool taken around the
+    /// run). The service's executor builds its per-request `stats` blocks
+    /// from it. The trace's `cancel_probes` counts every poll of `token`
+    /// during the run (sweep-point checks and table-row probes alike).
+    ///
+    /// The response is bit-identical to [`Engine::run_with_cancel`] —
+    /// tracing only reads counters.
     pub fn run_with_cancel_traced(
         &self,
         request: &OptimizeRequest,
         token: &CancelToken,
     ) -> (Result<OptimizeResponse, OptimizeError>, RequestTrace) {
         if let Some(err) = self.invalid_error() {
-            return (Err(err), self.rejection_trace(1));
+            return (Err(err), self.rejection_trace());
         }
         if let Err(stopped) = token.check() {
-            let mut trace = self.rejection_trace(1);
+            let mut trace = self.rejection_trace();
             trace.cancel_probes = 1;
             return (Err(stopped), trace);
         }
         let table = self.table_for(request.needed_width());
-        let timer = TraceTimer::begin(self, &table, Some(token));
+        let timer = TraceTimer::begin(self, &table, token);
         let result = self.run_cancellable_on(table.as_ref(), token, request);
-        let trace = timer.finish(1, self, &table, Some(token));
+        let trace = timer.finish(self, &table, token);
         (result, trace)
     }
 
@@ -951,9 +912,9 @@ impl Engine {
 
     /// The trace of a request rejected before any table was touched
     /// (unusable SOC, already-stopped token): counted, zero deltas.
-    fn rejection_trace(&self, requests: u64) -> RequestTrace {
+    fn rejection_trace(&self) -> RequestTrace {
         RequestTrace {
-            requests,
+            requests: 1,
             table_width: self.table_width(),
             ..RequestTrace::default()
         }
@@ -980,48 +941,12 @@ impl Engine {
         if let Some(err) = self.invalid_error() {
             return requests.iter().map(|_| Err(err.clone())).collect();
         }
-        let table = self.table_for(Engine::batch_width(requests));
-        self.run_batch_on(&table, requests)
-    }
-
-    /// [`Engine::run_batch`] plus attribution: the responses (identical
-    /// to the untraced batch) together with **one** [`RequestTrace`]
-    /// covering the whole batch. Per-request deltas inside a parallel
-    /// batch overlap in time and cannot be attributed individually — the
-    /// batch-level trace is exact; callers needing per-request deltas
-    /// run requests sequentially through [`Engine::run_traced`].
-    pub fn run_batch_traced(
-        &self,
-        requests: &[OptimizeRequest],
-    ) -> (Vec<Result<OptimizeResponse, OptimizeError>>, RequestTrace) {
-        let count = requests.len() as u64;
-        if let Some(err) = self.invalid_error() {
-            let responses = requests.iter().map(|_| Err(err.clone())).collect();
-            return (responses, self.rejection_trace(count));
-        }
-        let table = self.table_for(Engine::batch_width(requests));
-        let timer = TraceTimer::begin(self, &table, None);
-        let responses = self.run_batch_on(&table, requests);
-        let trace = timer.finish(count, self, &table, None);
-        (responses, trace)
-    }
-
-    /// The table width a batch needs: the widest request's need.
-    fn batch_width(requests: &[OptimizeRequest]) -> usize {
-        requests
+        let width = requests
             .iter()
             .map(OptimizeRequest::needed_width)
             .max()
-            .unwrap_or(1)
-    }
-
-    /// The batch core shared by the traced and untraced paths: fans the
-    /// requests out at the engine's thread cap over one sized table.
-    fn run_batch_on(
-        &self,
-        table: &Arc<LazyTimeTable>,
-        requests: &[OptimizeRequest],
-    ) -> Vec<Result<OptimizeResponse, OptimizeError>> {
+            .unwrap_or(1);
+        let table = self.table_for(width);
         let cap = self.thread_cap();
         if cap > 1 {
             rayon::par_map_init_threads(
@@ -1041,10 +966,16 @@ impl Engine {
     /// The Section 7 channels-versus-memory upgrade comparison, evaluated
     /// on the engine's shared table.
     ///
+    /// Each of the three optimizations (base, more channels, deeper
+    /// memory) answers what the plain request for its config answers: the
+    /// upgraded field is set directly, not through the asserting
+    /// `AteSpec` builders.
+    ///
     /// # Errors
     ///
-    /// Fails if any of the three optimizations (base, deeper memory, more
-    /// channels) fails.
+    /// [`OptimizeError::InvalidConfig`] when the doubled depth overflows
+    /// `u64`; otherwise the first error of the three optimizations, in
+    /// that order.
     pub fn cost_effectiveness(
         &self,
         config: &OptimizerConfig,
@@ -1054,26 +985,33 @@ impl Engine {
             return Err(err);
         }
         let base_ate = config.test_cell.ate;
+        let depth = base_ate.vector_memory_depth;
+        let doubled_depth = depth
+            .checked_mul(2)
+            .ok_or_else(|| OptimizeError::InvalidConfig {
+                message: format!("vector memory depth {depth} cannot be doubled within u64"),
+            })?;
         let budget = prices.memory_doubling_cost(&base_ate, 1);
         let extra_channels = prices.channels_affordable(budget);
         let upgraded_channels = base_ate.channels + extra_channels;
 
         let table = self.table_for(max_tam_width(upgraded_channels));
-        let channel_counts = [base_ate.channels, upgraded_channels];
-        let channel_points = self.channel_points(table.as_ref(), None, config, &channel_counts)?;
-
+        let base = self.optimize(table.as_ref(), config)?;
+        let mut wider_cfg = *config;
+        wider_cfg.test_cell.ate.channels = upgraded_channels;
+        let wider = self.optimize(table.as_ref(), &wider_cfg)?;
         let mut deeper_cfg = *config;
-        deeper_cfg.test_cell.ate = base_ate.with_depth(base_ate.vector_memory_depth * 2);
+        deeper_cfg.test_cell.ate.vector_memory_depth = doubled_depth;
         let deeper = self.optimize(table.as_ref(), &deeper_cfg)?;
 
         Ok(CostEffectiveness {
-            base_devices_per_hour: channel_points[0].optimal.objective(),
+            base_devices_per_hour: base.optimal.objective(),
             memory_upgrade_cost_usd: budget,
             memory_upgrade_devices_per_hour: deeper.optimal.objective(),
             equivalent_extra_channels: extra_channels,
             channel_upgrade_cost_usd: prices
                 .channel_upgrade_cost(base_ate.channels, upgraded_channels),
-            channel_upgrade_devices_per_hour: channel_points[1].optimal.objective(),
+            channel_upgrade_devices_per_hour: wider.optimal.objective(),
         })
     }
 
@@ -1200,11 +1138,11 @@ impl Engine {
 
     /// Figure 6(a): one optimization per ATE channel count.
     ///
-    /// An all-zero (or empty) channel list yields no points — the legacy
-    /// `channel_sweep` contract. Otherwise each point answers what the
-    /// plain request for its effective config answers, a zero count
-    /// included: the swept field is set directly, not through the
-    /// asserting `AteSpec::with_channels`.
+    /// An all-zero (or empty) channel list yields one empty curve, not an
+    /// error. Otherwise each point answers what the plain request for its
+    /// effective config answers, a zero count included: the swept field
+    /// is set directly, not through the asserting
+    /// `AteSpec::with_channels`.
     fn channel_points<L: TimeLookup + Sync + ?Sized>(
         &self,
         table: &L,
@@ -1401,13 +1339,14 @@ mod tests {
     #[test]
     fn traced_run_attributes_table_deltas_per_request() {
         let engine = Engine::new(&d695());
-        let (first, t1) = engine.run_traced(&OptimizeRequest::new(config()));
+        let token = CancelToken::new();
+        let (first, t1) = engine.run_with_cancel_traced(&OptimizeRequest::new(config()), &token);
         assert_eq!(t1.requests, 1);
         assert_eq!(t1.table_width, 128);
         assert!(t1.table.cells_built() > 0);
         assert!(t1.cells_built() == t1.table.cells_built());
         // Re-serving the identical request touches no new cells.
-        let (second, t2) = engine.run_traced(&OptimizeRequest::new(config()));
+        let (second, t2) = engine.run_with_cancel_traced(&OptimizeRequest::new(config()), &token);
         assert_eq!(second.unwrap(), first.unwrap());
         assert_eq!(t2.table.cells_built(), 0);
         // Sequential per-request deltas sum to the engine-lifetime total.
@@ -1426,7 +1365,16 @@ mod tests {
             OptimizeRequest::new(config()),
             OptimizeRequest::new(config()).with_sweep(SweepAxis::Channels(vec![192, 256])),
         ];
-        let (responses, trace) = engine.run_batch_traced(&batch);
+        // Traced one by one, the per-request traces merge into the
+        // batch's cost.
+        let token = CancelToken::new();
+        let (responses, traces): (Vec<_>, Vec<_>) = batch
+            .iter()
+            .map(|request| engine.run_with_cancel_traced(request, &token))
+            .unzip();
+        let trace = traces
+            .iter()
+            .fold(RequestTrace::default(), |sum, next| sum.merge(next));
         assert_eq!(responses.len(), 2);
         assert_eq!(trace.requests, 2);
         assert_eq!(trace.table.cells_built(), engine.stats().cells_built as u64);
@@ -1442,7 +1390,8 @@ mod tests {
         // An empty SOC fails validation with an error-level finding.
         let engine = Engine::new(&Soc::new("empty"));
         assert!(!engine.is_usable());
-        let (result, trace) = engine.run_traced(&OptimizeRequest::new(config()));
+        let (result, trace) =
+            engine.run_with_cancel_traced(&OptimizeRequest::new(config()), &CancelToken::new());
         assert!(matches!(result, Err(OptimizeError::InvalidSoc { .. })));
         assert_eq!(trace.requests, 1);
         assert_eq!(trace.table.cells_built(), 0);
@@ -1519,13 +1468,14 @@ mod tests {
         let engine = Engine::builder(&d695())
             .point_memo(Arc::clone(&memo) as Arc<dyn PointMemo>)
             .build();
-        let (first, cold) = engine.run_traced(&sweep);
+        let token = CancelToken::new();
+        let (first, cold) = engine.run_with_cancel_traced(&sweep, &token);
         assert_eq!(first.unwrap(), bare, "the memo changed the response");
         assert_eq!(cold.points_computed, 2);
         assert_eq!(cold.points_reused, 0);
 
         // The repeat sweep answers every point from the memo.
-        let (second, warm) = engine.run_traced(&sweep);
+        let (second, warm) = engine.run_with_cancel_traced(&sweep, &token);
         assert_eq!(second.unwrap(), bare);
         assert_eq!(warm.points_reused, 2);
         assert_eq!(warm.points_computed, 0);
@@ -1572,9 +1522,6 @@ mod tests {
         let engine = Engine::builder_arc(Arc::clone(&soc)).build();
         // Caller + engine: the builder took a reference, not a deep copy.
         assert_eq!(Arc::strong_count(&soc), 2);
-        let handle = engine.soc_arc();
-        assert_eq!(Arc::strong_count(&soc), 3);
-        assert!(Arc::ptr_eq(&soc, &handle));
         // The shared-SOC engine answers exactly like a cloning one.
         let cloned = Engine::builder(&soc).build();
         assert_eq!(
@@ -1582,18 +1529,15 @@ mod tests {
             cloned.run(&OptimizeRequest::new(config())).unwrap()
         );
         drop(engine);
-        drop(handle);
         assert_eq!(Arc::strong_count(&soc), 1);
     }
 
     #[test]
     fn thread_cap_is_clamped_and_reported() {
         let soc = d695();
-        assert!(!Engine::builder(&soc).threads(0).build().is_parallel());
-        assert!(!Engine::builder(&soc).sequential().build().is_parallel());
-        let capped = Engine::builder(&soc).threads(2).build();
-        assert_eq!(capped.thread_cap(), 2);
-        assert!(capped.is_parallel());
+        assert_eq!(Engine::builder(&soc).threads(0).build().thread_cap(), 1);
+        assert_eq!(Engine::builder(&soc).sequential().build().thread_cap(), 1);
+        assert_eq!(Engine::builder(&soc).threads(2).build().thread_cap(), 2);
     }
 
     #[test]
@@ -1634,7 +1578,7 @@ mod tests {
             .with_sweep(SweepAxis::Channels(vec![128, 192, 256, 320]));
         let parallel = Engine::new(&soc).run(&request).unwrap();
         let sequential_engine = Engine::builder(&soc).sequential().build();
-        assert!(!sequential_engine.is_parallel());
+        assert_eq!(sequential_engine.thread_cap(), 1);
         let sequential = sequential_engine.run(&request).unwrap();
         assert_eq!(parallel, sequential);
     }
@@ -1646,6 +1590,34 @@ mod tests {
             .run(&OptimizeRequest::new(config()).with_sweep(SweepAxis::Channels(vec![0, 0])))
             .unwrap();
         assert!(response.curves().unwrap()[0].points.is_empty());
+    }
+
+    #[test]
+    fn cost_effectiveness_without_channels_answers_the_plain_request_error() {
+        // Regression: the deeper-memory config went through the asserting
+        // `AteSpec::with_depth`, which panicked on a zero channel count.
+        let engine = Engine::new(&d695());
+        let mut bare = config();
+        bare.test_cell.ate.channels = 0;
+        let plain = engine.run(&OptimizeRequest::new(bare)).unwrap_err();
+        assert!(matches!(plain, OptimizeError::Architecture(_)), "{plain}");
+        let compared = engine.cost_effectiveness(&bare, &AteCostModel::paper_prices());
+        assert_eq!(compared.unwrap_err(), plain);
+    }
+
+    #[test]
+    fn cost_effectiveness_rejects_a_depth_that_cannot_double() {
+        // Regression: doubling a depth above `u64::MAX / 2` overflowed
+        // (a panic in debug, a zero depth and an assert in release).
+        let engine = Engine::new(&d695());
+        let mut deep = config();
+        deep.test_cell.ate.vector_memory_depth = u64::MAX / 2 + 1;
+        assert!(engine.run(&OptimizeRequest::new(deep)).is_ok());
+        let compared = engine.cost_effectiveness(&deep, &AteCostModel::paper_prices());
+        assert!(
+            matches!(compared, Err(OptimizeError::InvalidConfig { .. })),
+            "{compared:?}"
+        );
     }
 
     #[test]

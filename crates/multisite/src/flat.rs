@@ -7,9 +7,6 @@
 //! [`flatten_soc`] merges all modules into one, after which the regular
 //! [`crate::optimizer::optimize`] applies unchanged.
 
-use crate::error::OptimizeError;
-use crate::problem::OptimizerConfig;
-use crate::solution::MultiSiteSolution;
 use soctest_soc_model::{Module, ModuleKind, Soc};
 
 /// Flattens a modular SOC into a single-module SOC:
@@ -44,24 +41,11 @@ pub fn flatten_soc(soc: &Soc) -> Soc {
     Soc::from_modules(format!("{}_flat", soc.name()), vec![builder.build()])
 }
 
-/// Optimizes a flattened SOC (Problem 2): flattens `soc` and runs the
-/// regular two-step optimization on the result.
-///
-/// # Errors
-///
-/// Same error conditions as [`crate::optimizer::optimize`].
-pub fn optimize_flat(
-    soc: &Soc,
-    config: &OptimizerConfig,
-) -> Result<MultiSiteSolution, OptimizeError> {
-    let flat = flatten_soc(soc);
-    crate::optimizer::optimize(&flat, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::optimize;
+    use crate::problem::OptimizerConfig;
     use soctest_ate::{AteSpec, ProbeStation, TestCell};
     use soctest_soc_model::benchmarks::d695;
 
@@ -90,7 +74,7 @@ mod tests {
     fn flat_soc_has_a_single_wrapper_no_tams() {
         let soc = d695();
         let config = OptimizerConfig::new(cell());
-        let solution = optimize_flat(&soc, &config).unwrap();
+        let solution = optimize(&flatten_soc(&soc), &config).unwrap();
         // One module means one channel group: module wrapper == E-RPCT wrapper.
         assert_eq!(solution.step1_architecture.groups.len(), 1);
         assert_eq!(solution.optimal_architecture.groups.len(), 1);
@@ -104,7 +88,7 @@ mod tests {
         let soc = d695();
         let config = OptimizerConfig::new(cell());
         let modular = optimize(&soc, &config).unwrap();
-        let flat = optimize_flat(&soc, &config).unwrap();
+        let flat = optimize(&flatten_soc(&soc), &config).unwrap();
         assert!(
             flat.optimal.devices_per_hour <= modular.optimal.devices_per_hour + 1e-9,
             "flat {} > modular {}",
@@ -117,7 +101,7 @@ mod tests {
     fn flat_optimization_is_consistent() {
         let soc = d695();
         let config = OptimizerConfig::new(cell());
-        let solution = optimize_flat(&soc, &config).unwrap();
+        let solution = optimize(&flatten_soc(&soc), &config).unwrap();
         assert!(solution.optimal.sites >= 1);
         assert_eq!(solution.curve.len(), solution.max_sites);
         assert!(solution.curve.iter().all(|p| p.devices_per_hour > 0.0));

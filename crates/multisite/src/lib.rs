@@ -27,9 +27,9 @@
 //!   search over the site count with channel redistribution), plus the
 //!   one-shot [`optimize`] convenience wrapper,
 //! * [`flat`] — the degenerate Problem 2 for flattened SOCs,
-//! * [`sweep`] — the parameter sweeps behind Figures 5–7 and the
-//!   channel-versus-memory cost analysis, as convenience wrappers over
-//!   the engine,
+//! * [`sweep`] — the result types of the Figure 6–7 parameter sweeps
+//!   and of the channel-versus-memory cost analysis, which the engine
+//!   answers,
 //! * [`report`] — plain-text and JSON reporting of solutions and curves,
 //! * [`service`] — the fault-tolerant streaming NDJSON service behind
 //!   the `soc-serve` binary: warm-session registry, cancellation and

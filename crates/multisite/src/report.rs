@@ -127,9 +127,9 @@ pub fn point_summary(point: &SitePoint) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, OptimizeRequest, SweepAxis};
     use crate::optimizer::optimize;
     use crate::problem::OptimizerConfig;
-    use crate::sweep::channel_sweep;
     use soctest_ate::{AteSpec, ProbeStation, TestCell};
     use soctest_soc_model::benchmarks::d695;
 
@@ -164,8 +164,14 @@ mod tests {
             AteSpec::new(256, 96 * 1024, 5.0e6),
             ProbeStation::paper_probe_station(),
         ));
-        let points = channel_sweep(&d695(), &config, &[128, 256]).unwrap();
-        let text = format_sweep("Fig 6(a)", "channels", "D_th", &points);
+        let request = OptimizeRequest::new(config).with_sweep(SweepAxis::Channels(vec![128, 256]));
+        let curves = Engine::new(&d695())
+            .run(&request)
+            .unwrap()
+            .into_curves()
+            .unwrap();
+        let points = &curves[0].points;
+        let text = format_sweep("Fig 6(a)", "channels", "D_th", points);
         assert!(text.contains("Fig 6(a)"));
         assert_eq!(text.lines().count(), 2 + points.len());
     }

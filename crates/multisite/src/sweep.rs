@@ -1,33 +1,25 @@
-//! Parameter sweeps behind the Section 7 experiments — convenience
-//! wrappers over the session-oriented [`crate::engine::Engine`].
+//! The result types of the Section 7 parameter sweeps.
 //!
 //! Every figure of the paper's evaluation is a sweep of the optimizer over
-//! one test-cell or yield parameter:
+//! one test-cell or yield parameter, and each is one
+//! [`crate::engine::Engine`] request with a
+//! [`SweepAxis`](crate::engine::SweepAxis):
 //!
-//! * [`channel_sweep`] — throughput vs. ATE channel count (Figure 6(a)),
-//! * [`depth_sweep`] — throughput vs. vector-memory depth (Figure 6(b)),
-//! * [`contact_yield_sweep`] — unique throughput vs. memory depth for a set
-//!   of contact yields (Figure 7(a)),
-//! * [`abort_on_fail_sweep`] — expected test application time vs. site
-//!   count for a set of manufacturing yields (Figure 7(b)),
-//! * [`cost_effectiveness`] — the channels-versus-memory upgrade
-//!   comparison quoted in the text of Section 7.
+//! * `Channels` — throughput vs. ATE channel count (Figure 6(a)),
+//! * `DepthVectors` — throughput vs. vector-memory depth (Figure 6(b)),
+//! * `ContactYield` — unique throughput vs. memory depth for a set of
+//!   contact yields (Figure 7(a)),
+//! * `ManufacturingYield` — expected test application time vs. site count
+//!   for a set of manufacturing yields (Figure 7(b)).
 //!
-//! Each free function is a thin shim: it builds a one-shot [`Engine`] for
-//! the SOC and serves a single typed request, so all sweep semantics
-//! (shared demand-driven table, order-preserving rayon parallelism,
-//! bit-identical parallel/sequential results) live in the engine. Callers
-//! running **more than one** sweep over the same SOC should hold an
-//! [`Engine`] themselves and batch the requests — the engine then shares
-//! one table across all of them instead of rebuilding it per call.
+//! A sweeping request answers with [`SweepCurve`]s of [`SweepPoint`]s,
+//! each point keyed by its typed [`AxisValue`].
+//! [`Engine::cost_effectiveness`](crate::engine::Engine::cost_effectiveness)
+//! answers the channels-versus-memory upgrade comparison quoted in the
+//! text of Section 7 with a [`CostEffectiveness`].
 
-use crate::engine::{Engine, OptimizeRequest, OptimizeResponse, SweepAxis};
-use crate::error::OptimizeError;
-use crate::problem::OptimizerConfig;
 use crate::solution::SitePoint;
 use serde::{Deserialize, Serialize};
-use soctest_ate::AteCostModel;
-use soctest_soc_model::Soc;
 use std::fmt;
 
 /// The typed value of the swept parameter at one sweep point.
@@ -38,12 +30,12 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum AxisValue {
-    /// An ATE channel count ([`SweepAxis::Channels`]).
+    /// An ATE channel count (`SweepAxis::Channels`).
     Channels(usize),
     /// A per-channel vector-memory depth in vectors
-    /// ([`SweepAxis::DepthVectors`] and [`SweepAxis::ContactYield`]).
+    /// (`SweepAxis::DepthVectors` and `SweepAxis::ContactYield`).
     DepthVectors(u64),
-    /// A site count (the x axis of [`SweepAxis::ManufacturingYield`]
+    /// A site count (the x axis of `SweepAxis::ManufacturingYield`
     /// curves).
     Sites(usize),
 }
@@ -97,124 +89,6 @@ pub struct SweepCurve {
     pub points: Vec<SweepPoint>,
 }
 
-/// Unwraps a sweeping request's response into its curves. A sweeping axis
-/// always answers with curves; a `Solution` here means the engine broke
-/// that contract, which surfaces as a typed [`OptimizeError::Internal`]
-/// instead of taking the process down.
-fn curves_of(response: OptimizeResponse) -> Result<Vec<SweepCurve>, OptimizeError> {
-    response.into_curves().ok_or_else(|| {
-        OptimizeError::internal("sweeping request answered with a solution instead of curves")
-    })
-}
-
-/// A throwaway engine pre-sized for exactly one request, so the single
-/// run never pays a build-then-rebuild of the table.
-fn one_shot_engine(soc: &Soc, request: &OptimizeRequest) -> Engine {
-    Engine::builder(soc)
-        .max_channels(request.peak_channels())
-        .build()
-}
-
-/// Throughput vs. ATE channel count (Figure 6(a)): the optimizer is re-run
-/// for every channel count in `channel_counts`, all other parameters held
-/// at `config`. Convenience wrapper over a one-shot [`Engine`] request
-/// with [`SweepAxis::Channels`].
-///
-/// # Errors
-///
-/// Fails if any individual optimization fails (e.g. the smallest channel
-/// count cannot accommodate the SOC).
-pub fn channel_sweep(
-    soc: &Soc,
-    config: &OptimizerConfig,
-    channel_counts: &[usize],
-) -> Result<Vec<SweepPoint>, OptimizeError> {
-    let request =
-        OptimizeRequest::new(*config).with_sweep(SweepAxis::Channels(channel_counts.to_vec()));
-    let engine = one_shot_engine(soc, &request);
-    let mut curves = curves_of(engine.run(&request)?)?;
-    Ok(curves.pop().map(|curve| curve.points).unwrap_or_default())
-}
-
-/// Throughput vs. per-channel vector-memory depth (Figure 6(b)).
-/// Convenience wrapper over a one-shot [`Engine`] request with
-/// [`SweepAxis::DepthVectors`].
-///
-/// # Errors
-///
-/// Fails if any individual optimization fails (e.g. the shallowest depth
-/// is infeasible for some module).
-pub fn depth_sweep(
-    soc: &Soc,
-    config: &OptimizerConfig,
-    depths: &[u64],
-) -> Result<Vec<SweepPoint>, OptimizeError> {
-    let request =
-        OptimizeRequest::new(*config).with_sweep(SweepAxis::DepthVectors(depths.to_vec()));
-    let engine = one_shot_engine(soc, &request);
-    let mut curves = curves_of(engine.run(&request)?)?;
-    Ok(curves.pop().map(|curve| curve.points).unwrap_or_default())
-}
-
-/// Unique-device throughput vs. memory depth, one curve per contact yield
-/// (Figure 7(a)). Re-test of contact failures is always enabled here —
-/// that is the effect the figure demonstrates. Convenience wrapper over a
-/// one-shot [`Engine`] request with [`SweepAxis::ContactYield`].
-///
-/// # Errors
-///
-/// Fails if any individual optimization fails.
-pub fn contact_yield_sweep(
-    soc: &Soc,
-    config: &OptimizerConfig,
-    depths: &[u64],
-    contact_yields: &[f64],
-) -> Result<Vec<SweepCurve>, OptimizeError> {
-    let request = OptimizeRequest::new(*config).with_sweep(SweepAxis::ContactYield {
-        depths: depths.to_vec(),
-        contact_yields: contact_yields.to_vec(),
-    });
-    let engine = one_shot_engine(soc, &request);
-    curves_of(engine.run(&request)?)
-}
-
-/// One point of an abort-on-fail curve: expected test application time at a
-/// given site count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AbortOnFailPoint {
-    /// Number of sites tested in parallel.
-    pub sites: usize,
-    /// Expected test application time per touchdown in seconds
-    /// (Equation 4.4; includes the contact test).
-    pub expected_test_time_s: f64,
-}
-
-/// Expected test application time vs. site count, one curve per
-/// manufacturing yield (Figure 7(b)). Convenience wrapper over a one-shot
-/// [`Engine`] request with [`SweepAxis::ManufacturingYield`].
-///
-/// The architecture is fixed at the Step 1 (channel-minimal) design — as
-/// in the paper, the point of the figure is the yield effect, not the
-/// channel redistribution — and only the abort-on-fail expectation varies
-/// with the site count.
-///
-/// # Errors
-///
-/// Fails if the Step 1 design fails.
-pub fn abort_on_fail_sweep(
-    soc: &Soc,
-    config: &OptimizerConfig,
-    max_sites: usize,
-    manufacturing_yields: &[f64],
-) -> Result<Vec<SweepCurve>, OptimizeError> {
-    let request = OptimizeRequest::new(*config).with_sweep(SweepAxis::ManufacturingYield {
-        max_sites,
-        manufacturing_yields: manufacturing_yields.to_vec(),
-    });
-    let engine = one_shot_engine(soc, &request);
-    curves_of(engine.run(&request)?)
-}
-
 /// Outcome of the channels-versus-memory cost comparison of Section 7.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostEffectiveness {
@@ -250,31 +124,13 @@ impl CostEffectiveness {
     }
 }
 
-/// Evaluates the Section 7 cost comparison: double the vector memory of the
-/// whole ATE, versus spending the same money on extra channels.
-/// Convenience wrapper over [`Engine::cost_effectiveness`].
-///
-/// # Errors
-///
-/// Fails if any of the three optimizations (base, deeper memory, more
-/// channels) fails.
-pub fn cost_effectiveness(
-    soc: &Soc,
-    config: &OptimizerConfig,
-    prices: &AteCostModel,
-) -> Result<CostEffectiveness, OptimizeError> {
-    // Pre-size for the base cell; the engine widens once more for the
-    // channel-upgrade comparison point.
-    Engine::builder(soc)
-        .max_channels(config.test_cell.ate.channels)
-        .build()
-        .cost_effectiveness(config, prices)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctest_ate::{AteSpec, ProbeStation, TestCell};
+    use crate::engine::{Engine, OptimizeRequest, SweepAxis};
+    use crate::error::OptimizeError;
+    use crate::problem::OptimizerConfig;
+    use soctest_ate::{AteCostModel, AteSpec, ProbeStation, TestCell};
     use soctest_soc_model::benchmarks::d695;
 
     fn config() -> OptimizerConfig {
@@ -284,10 +140,21 @@ mod tests {
         ))
     }
 
+    /// The curves of one sweeping request on a fresh d695 engine.
+    fn sweep(axis: SweepAxis) -> Result<Vec<SweepCurve>, OptimizeError> {
+        Engine::new(&d695())
+            .run(&OptimizeRequest::new(config()).with_sweep(axis))
+            .map(|response| response.into_curves().expect("a sweep answers with curves"))
+    }
+
+    /// The points of a single-curve sweep.
+    fn points(axis: SweepAxis) -> Vec<SweepPoint> {
+        sweep(axis).unwrap().remove(0).points
+    }
+
     #[test]
     fn channel_sweep_is_monotone_in_channels() {
-        let soc = d695();
-        let points = channel_sweep(&soc, &config(), &[128, 192, 256, 320]).unwrap();
+        let points = points(SweepAxis::Channels(vec![128, 192, 256, 320]));
         assert_eq!(points.len(), 4);
         assert_eq!(points[0].parameter, AxisValue::Channels(128));
         for pair in points.windows(2) {
@@ -302,9 +169,8 @@ mod tests {
 
     #[test]
     fn depth_sweep_is_monotone_in_depth() {
-        let soc = d695();
-        let depths = [64 * 1024, 96 * 1024, 128 * 1024, 192 * 1024];
-        let points = depth_sweep(&soc, &config(), &depths).unwrap();
+        let depths = vec![64 * 1024, 96 * 1024, 128 * 1024, 192 * 1024];
+        let points = points(SweepAxis::DepthVectors(depths));
         assert_eq!(points[0].parameter, AxisValue::DepthVectors(64 * 1024));
         for pair in points.windows(2) {
             assert!(pair[1].optimal.devices_per_hour >= pair[0].optimal.devices_per_hour - 1e-9);
@@ -313,9 +179,11 @@ mod tests {
 
     #[test]
     fn contact_yield_sweep_orders_curves_by_yield() {
-        let soc = d695();
-        let depths = [96 * 1024];
-        let curves = contact_yield_sweep(&soc, &config(), &depths, &[0.99, 0.999, 1.0]).unwrap();
+        let curves = sweep(SweepAxis::ContactYield {
+            depths: vec![96 * 1024],
+            contact_yields: vec![0.99, 0.999, 1.0],
+        })
+        .unwrap();
         assert_eq!(curves.len(), 3);
         // Better contact yield -> more unique devices per hour.
         let at = |i: usize| curves[i].points[0].optimal.unique_devices_per_hour;
@@ -325,8 +193,11 @@ mod tests {
 
     #[test]
     fn abort_on_fail_sweep_shows_vanishing_benefit() {
-        let soc = d695();
-        let curves = abort_on_fail_sweep(&soc, &config(), 8, &[1.0, 0.7]).unwrap();
+        let curves = sweep(SweepAxis::ManufacturingYield {
+            max_sites: 8,
+            manufacturing_yields: vec![1.0, 0.7],
+        })
+        .unwrap();
         assert_eq!(curves.len(), 2);
         let perfect = &curves[0];
         let lossy = &curves[1];
@@ -347,8 +218,9 @@ mod tests {
 
     #[test]
     fn cost_effectiveness_reports_consistent_numbers() {
-        let soc = d695();
-        let result = cost_effectiveness(&soc, &config(), &AteCostModel::paper_prices()).unwrap();
+        let result = Engine::new(&d695())
+            .cost_effectiveness(&config(), &AteCostModel::paper_prices())
+            .unwrap();
         assert!(result.base_devices_per_hour > 0.0);
         assert!(result.memory_upgrade_devices_per_hour >= result.base_devices_per_hour - 1e-9);
         assert!(result.channel_upgrade_devices_per_hour >= result.base_devices_per_hour - 1e-9);
@@ -359,16 +231,14 @@ mod tests {
 
     #[test]
     fn empty_sweeps_return_empty_results() {
-        let soc = d695();
-        assert!(channel_sweep(&soc, &config(), &[]).unwrap().is_empty());
-        assert!(depth_sweep(&soc, &config(), &[]).unwrap().is_empty());
+        assert!(points(SweepAxis::Channels(vec![])).is_empty());
+        assert!(points(SweepAxis::DepthVectors(vec![])).is_empty());
     }
 
     #[test]
     fn infeasible_sweep_point_propagates_the_error() {
-        let soc = d695();
-        // 16 channels cannot host d695 at this shallow depth.
-        let result = channel_sweep(&soc, &config(), &[256, 4]);
+        // 4 channels cannot host d695 at this shallow depth.
+        let result = sweep(SweepAxis::Channels(vec![256, 4]));
         assert!(result.is_err());
     }
 

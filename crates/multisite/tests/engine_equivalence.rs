@@ -1,18 +1,16 @@
 //! Equivalence proofs for the session-oriented engine: `Engine::run` /
-//! `Engine::run_batch` must be bit-identical to the legacy free-function
-//! path — `optimize_with_table` over a per-call `LazyTimeTable` — on the
-//! PNX8550 stand-in and a synthetic SOC, including a heterogeneous
-//! mixed-axis batch, and the free functions (now shims over a one-shot
-//! engine) must reproduce the same results.
+//! `Engine::run_batch` must be bit-identical to the legacy path —
+//! `optimize_with_table` over a per-call `LazyTimeTable` — on the
+//! PNX8550 stand-in and a synthetic SOC, and every request of a
+//! heterogeneous mixed-axis batch must answer exactly what the same
+//! request answers alone on a fresh engine.
 
 use soctest_ate::{AteSpec, ProbeStation, TestCell};
 use soctest_multisite::engine::{Engine, OptimizeRequest, SweepAxis};
 use soctest_multisite::optimizer::{optimize, optimize_with_table};
 use soctest_multisite::problem::OptimizerConfig;
 use soctest_multisite::report::to_json;
-use soctest_multisite::sweep::{
-    abort_on_fail_sweep, channel_sweep, contact_yield_sweep, depth_sweep, AxisValue, SweepPoint,
-};
+use soctest_multisite::sweep::{AxisValue, SweepPoint};
 use soctest_multisite::MultiSiteSolution;
 use soctest_soc_model::synthetic::{pnx8550_like, SyntheticSocSpec};
 use soctest_soc_model::Soc;
@@ -110,8 +108,6 @@ fn engine_channel_sweep_is_bit_identical_to_the_legacy_path() {
     let legacy = legacy_channel_sweep(&soc, &config, &counts);
     assert_eq!(curves[0].points, legacy);
     assert_eq!(to_json(&curves[0].points), to_json(&legacy));
-    // The free-function shim reproduces the same points.
-    assert_eq!(channel_sweep(&soc, &config, &counts).unwrap(), legacy);
 }
 
 #[test]
@@ -125,10 +121,10 @@ fn mixed_axis_batch_matches_individual_runs_and_the_free_functions() {
 
     let batch = [
         OptimizeRequest::new(config),
-        OptimizeRequest::new(config).with_sweep(SweepAxis::Channels(channels.clone())),
+        OptimizeRequest::new(config).with_sweep(SweepAxis::Channels(channels)),
         OptimizeRequest::new(config).with_sweep(SweepAxis::DepthVectors(depths.clone())),
         OptimizeRequest::new(config).with_sweep(SweepAxis::ContactYield {
-            depths: depths.clone(),
+            depths,
             contact_yields: contact_yields.to_vec(),
         }),
         OptimizeRequest::new(config).with_sweep(SweepAxis::ManufacturingYield {
@@ -152,26 +148,10 @@ fn mixed_axis_batch_matches_individual_runs_and_the_free_functions() {
         assert_eq!(&fresh, response);
     }
 
-    // ... and equal the legacy free functions, field for field.
+    // ... and the plain request equals the one-shot `optimize` shim.
     assert_eq!(
         batched[0].solution().unwrap(),
         &optimize(&soc, &config).unwrap()
-    );
-    assert_eq!(
-        batched[1].curves().unwrap()[0].points,
-        channel_sweep(&soc, &config, &channels).unwrap()
-    );
-    assert_eq!(
-        batched[2].curves().unwrap()[0].points,
-        depth_sweep(&soc, &config, &depths).unwrap()
-    );
-    assert_eq!(
-        batched[3].curves().unwrap(),
-        contact_yield_sweep(&soc, &config, &depths, &contact_yields).unwrap()
-    );
-    assert_eq!(
-        batched[4].curves().unwrap(),
-        abort_on_fail_sweep(&soc, &config, 8, &manufacturing_yields).unwrap()
     );
 }
 
@@ -180,8 +160,8 @@ fn nested_parallel_mixed_batch_is_identical_at_thread_caps_one_two_and_n() {
     // The work-stealing pool runs mixed batches with request-level AND
     // point-level parallelism; this pins scheduler determinism on a
     // synthetic SOC big enough for real stealing: sequential ==
-    // thread-cap 2 == full pool, repeated, and equal to the free
-    // functions' answers point for point.
+    // thread-cap 2 == full pool, repeated, and equal to each request
+    // served alone on a fresh engine.
     let soc = synthetic_soc();
     let config = OptimizerConfig::new(TestCell::new(
         AteSpec::new(512, 4 * 1024 * 1024, 5.0e6),
@@ -191,10 +171,10 @@ fn nested_parallel_mixed_batch_is_identical_at_thread_caps_one_two_and_n() {
     let depths = vec![3 * 1024 * 1024u64, 4 * 1024 * 1024, 6 * 1024 * 1024];
     let batch = [
         OptimizeRequest::new(config),
-        OptimizeRequest::new(config).with_sweep(SweepAxis::Channels(channels.clone())),
+        OptimizeRequest::new(config).with_sweep(SweepAxis::Channels(channels)),
         OptimizeRequest::new(config).with_sweep(SweepAxis::DepthVectors(depths.clone())),
         OptimizeRequest::new(config).with_sweep(SweepAxis::ContactYield {
-            depths: depths.clone(),
+            depths,
             contact_yields: vec![0.995, 1.0],
         }),
     ];
@@ -228,19 +208,14 @@ fn nested_parallel_mixed_batch_is_identical_at_thread_caps_one_two_and_n() {
         }
     }
 
-    // The batch reproduces the legacy free functions bit for bit.
-    assert_eq!(
-        sequential[1].curves().unwrap()[0].points,
-        channel_sweep(&soc, &config, &channels).unwrap()
-    );
-    assert_eq!(
-        sequential[2].curves().unwrap()[0].points,
-        depth_sweep(&soc, &config, &depths).unwrap()
-    );
-    assert_eq!(
-        sequential[3].curves().unwrap(),
-        contact_yield_sweep(&soc, &config, &depths, &[0.995, 1.0]).unwrap()
-    );
+    // Each batch request answers what it answers alone on a fresh engine.
+    for (index, (request, response)) in batch.iter().zip(&sequential).enumerate() {
+        assert_eq!(
+            &Engine::new(&soc).run(request).unwrap(),
+            response,
+            "request {index}: batch answer differs from a fresh engine's"
+        );
+    }
 }
 
 #[test]

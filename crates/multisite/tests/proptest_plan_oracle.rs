@@ -17,7 +17,7 @@ use soctest_multisite::engine::{Engine, OptimizeResponse};
 use soctest_multisite::optimizer::{evaluate_point, optimize_with_table};
 use soctest_multisite::service::resolve_named_soc;
 use soctest_multisite::{
-    AxisValue, MultiSiteOptions, MultiSiteSolution, OptimizeError, OptimizeRequest,
+    AxisValue, CancelToken, MultiSiteOptions, MultiSiteSolution, OptimizeError, OptimizeRequest,
     OptimizerConfig, SweepAxis, SweepCurve, SweepPoint,
 };
 use soctest_soc_model::synthetic::SyntheticSocSpec;
@@ -257,8 +257,9 @@ fn check_sequence(soc: &Soc, requests: &[OptimizeRequest]) -> Result<Tally, Test
         Arc::new(RowStore::new()),
     ));
     let mut tally = Tally::default();
+    let token = CancelToken::new();
     for (index, request) in requests.iter().enumerate() {
-        let (answer, trace) = engine.run_traced(request);
+        let (answer, trace) = engine.run_with_cancel_traced(request, &token);
         if request.needed_width() > twin.max_width() {
             twin = Arc::new(twin.grown(request.needed_width()));
             tally.regrows += 1;

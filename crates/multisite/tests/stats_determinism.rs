@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use soctest_ate::{AteSpec, ProbeStation, TestCell};
 use soctest_multisite::engine::Engine;
-use soctest_multisite::{OptimizeRequest, OptimizerConfig, RequestTrace, SweepAxis};
+use soctest_multisite::{CancelToken, OptimizeRequest, OptimizerConfig, RequestTrace, SweepAxis};
 use soctest_soc_model::{Module, Soc};
 
 prop_compose! {
@@ -69,7 +69,8 @@ proptest! {
     #[test]
     fn traced_runs_answer_bit_identically(soc in arb_soc(), request in arb_request()) {
         let untraced = Engine::new(&soc).run(&request);
-        let (traced, trace) = Engine::new(&soc).run_traced(&request);
+        let (traced, trace) =
+            Engine::new(&soc).run_with_cancel_traced(&request, &CancelToken::new());
         prop_assert_eq!(&untraced, &traced);
         if let (Ok(plain), Ok(observed)) = (&untraced, &traced) {
             prop_assert_eq!(
@@ -96,22 +97,14 @@ proptest! {
         requests in proptest::collection::vec(arb_request(), 1..4),
     ) {
         let engine = Engine::new(&soc);
+        let token = CancelToken::new();
         let mut merged = RequestTrace::default();
         for request in &requests {
-            let (_, trace) = engine.run_traced(request);
+            let (_, trace) = engine.run_with_cancel_traced(request, &token);
             merged = merged.merge(&trace);
         }
         prop_assert_eq!(merged.requests, requests.len() as u64);
         let lifetime = engine.stats();
         prop_assert_eq!(merged.table.cells_built(), lifetime.cells_built as u64);
-        // Batch tracing covers the same work in one delta.
-        let batch_engine = Engine::new(&soc);
-        let (batch_responses, batch_trace) = batch_engine.run_batch_traced(&requests);
-        prop_assert_eq!(batch_responses.len(), requests.len());
-        prop_assert_eq!(batch_trace.requests, requests.len() as u64);
-        prop_assert_eq!(
-            batch_trace.table.cells_built(),
-            batch_engine.stats().cells_built as u64
-        );
     }
 }

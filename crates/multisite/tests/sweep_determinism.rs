@@ -8,8 +8,9 @@ use soctest_multisite::engine::{Engine, OptimizeRequest, OptimizeResponse, Sweep
 use soctest_multisite::optimizer::optimize_with_table;
 use soctest_multisite::problem::OptimizerConfig;
 use soctest_multisite::report::to_json;
-use soctest_multisite::sweep::{channel_sweep, depth_sweep, AxisValue, SweepPoint};
+use soctest_multisite::sweep::{AxisValue, SweepPoint};
 use soctest_soc_model::benchmarks::d695;
+use soctest_soc_model::Soc;
 use soctest_tam::TimeTable;
 
 fn config() -> OptimizerConfig {
@@ -19,11 +20,22 @@ fn config() -> OptimizerConfig {
     ))
 }
 
+/// The points of a single-curve sweep, served on a fresh engine.
+fn sweep_points(soc: &Soc, config: OptimizerConfig, axis: SweepAxis) -> Vec<SweepPoint> {
+    Engine::new(soc)
+        .run(&OptimizeRequest::new(config).with_sweep(axis))
+        .unwrap()
+        .into_curves()
+        .unwrap()
+        .remove(0)
+        .points
+}
+
 #[test]
 fn channel_sweep_matches_sequential_evaluation() {
     let soc = d695();
     let channels = [128usize, 160, 192, 224, 256, 320];
-    let parallel = channel_sweep(&soc, &config(), &channels).unwrap();
+    let parallel = sweep_points(&soc, config(), SweepAxis::Channels(channels.to_vec()));
 
     // The sequential path: the same per-point computation, one at a time.
     let table = TimeTable::build(&soc, channels.iter().max().unwrap() / 2);
@@ -50,8 +62,8 @@ fn channel_sweep_matches_sequential_evaluation() {
 fn depth_sweep_is_stable_across_runs() {
     let soc = d695();
     let depths = [64 * 1024, 96 * 1024, 128 * 1024, 192 * 1024];
-    let first = depth_sweep(&soc, &config(), &depths).unwrap();
-    let second = depth_sweep(&soc, &config(), &depths).unwrap();
+    let first = sweep_points(&soc, config(), SweepAxis::DepthVectors(depths.to_vec()));
+    let second = sweep_points(&soc, config(), SweepAxis::DepthVectors(depths.to_vec()));
     assert_eq!(first, second);
     assert_eq!(to_json(&first), to_json(&second));
 }
@@ -72,7 +84,7 @@ fn concurrent_lazy_table_sweep_matches_eager_sequential_on_a_scaled_soc() {
     ));
     cfg.options.retest_contact_failures = true;
     let depths = [4 * 1024 * 1024, 5 * 1024 * 1024, 7 * 1024 * 1024];
-    let parallel = depth_sweep(&soc, &cfg, &depths).unwrap();
+    let parallel = sweep_points(&soc, cfg, SweepAxis::DepthVectors(depths.to_vec()));
 
     let table = TimeTable::build(&soc, 256);
     let sequential: Vec<SweepPoint> = depths

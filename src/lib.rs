@@ -43,8 +43,8 @@
 //! # Ok::<(), soctest::multisite::OptimizeError>(())
 //! ```
 //!
-//! The one-shot free functions (`optimize`, the `sweep` family) remain
-//! available as convenience shims over a throwaway engine.
+//! `optimize` remains available as the one one-shot convenience shim over
+//! a throwaway engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
