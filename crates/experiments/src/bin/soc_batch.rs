@@ -8,8 +8,10 @@
 //! soc-batch REQUEST.json --cache-dir D  reuse/persist module time rows in
 //!                                       D/rows.v1 (responses are identical
 //!                                       with or without the cache)
-//! soc-batch ... --max-store-bytes N     bound D/rows.v1: the save drops the
-//!                                       coldest-touched rows until it fits
+//! soc-batch ... --max-store-bytes N     bound the row store, resident and in
+//!                                       D/rows.v1: the load keeps the hottest
+//!                                       rows, the save drops the coldest-touched
+//!                                       rows until it fits (default 16 MiB)
 //! soc-batch --emit-sample-request       print the canonical sample request
 //! soc-batch --list-socs                 print the named-SOC catalogue and exit
 //! ```
@@ -25,7 +27,7 @@
 
 use soctest_experiments::batch::{render_json, run_request_text_with_store, sample_request};
 use soctest_experiments::serve::render_soc_catalogue;
-use soctest_multisite::service::ROWS_FILE;
+use soctest_multisite::service::{DEFAULT_MAX_STORE_BYTES, ROWS_FILE};
 use soctest_tam::RowStore;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -36,7 +38,7 @@ struct Options {
     out: Option<PathBuf>,
     check: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
-    max_store_bytes: Option<u64>,
+    max_store_bytes: u64,
     emit_sample: bool,
     list_socs: bool,
 }
@@ -49,7 +51,8 @@ fn usage() -> ! {
          serves a JSON optimizer-request batch through one engine session; \
          --check byte-compares the response against GOLDEN and exits 1 on drift; \
          --cache-dir reuses and persists module time rows in DIR/rows.v1, and \
-         --max-store-bytes drops the coldest rows at save time until the file fits"
+         --max-store-bytes bounds those rows in memory and in the file, dropping \
+         the coldest first (default 16 MiB)"
     );
     std::process::exit(2)
 }
@@ -60,7 +63,7 @@ fn parse_args() -> Options {
         out: None,
         check: None,
         cache_dir: None,
-        max_store_bytes: None,
+        max_store_bytes: DEFAULT_MAX_STORE_BYTES,
         emit_sample: false,
         list_socs: false,
     };
@@ -82,7 +85,7 @@ fn parse_args() -> Options {
                 None => usage(),
             },
             "--max-store-bytes" => match args.next().and_then(|raw| raw.parse().ok()) {
-                Some(bytes) => options.max_store_bytes = Some(bytes),
+                Some(bytes) => options.max_store_bytes = bytes,
                 None => usage(),
             },
             other if !other.starts_with('-') && options.request.is_none() => {
@@ -133,7 +136,7 @@ fn main() -> ExitCode {
     // way, only the compute is skipped. A bad cache file is a stderr
     // warning and a cold store, never a failure.
     let store = options.cache_dir.as_ref().map(|dir| {
-        let store = Arc::new(RowStore::new());
+        let store = Arc::new(RowStore::bounded(options.max_store_bytes));
         let path = dir.join(ROWS_FILE);
         if let Err(err) = store.load_if_present(&path) {
             eprintln!("warning: ignoring row cache {}: {err}", path.display());
@@ -149,12 +152,11 @@ fn main() -> ExitCode {
     };
     if let (Some(dir), Some(store)) = (&options.cache_dir, &store) {
         let path = dir.join(ROWS_FILE);
-        let cap = options.max_store_bytes.unwrap_or(u64::MAX);
         let saved = std::fs::create_dir_all(dir)
             .map_err(soctest_tam::StoreError::from)
             .and_then(|()| {
                 store
-                    .save_capped(&path, cap)
+                    .save_capped(&path, options.max_store_bytes)
                     .map_err(soctest_tam::StoreError::from)
             });
         if let Err(err) = saved {

@@ -20,9 +20,11 @@
 //! soc-serve --max-table-bytes N       bound charged table memory (default 256 MiB)
 //! soc-serve --cache-dir DIR           persist the module-row store in DIR/rows.v1
 //!                                     and the solution cache in DIR/solutions.v1
-//! soc-serve --max-store-bytes N       bound DIR/rows.v1: saves drop the
-//!                                     coldest-touched rows until it fits
-//!                                     (default unbounded)
+//! soc-serve --max-store-bytes N       bound the module-row store, resident
+//!                                     and in DIR/rows.v1: evict the coldest
+//!                                     rows no session holds, and drop the
+//!                                     coldest-touched rows from a save until
+//!                                     it fits (default 16 MiB)
 //! soc-serve --max-result-entries N    bound the solution cache entries (default 256)
 //! soc-serve --max-result-bytes N      bound the solution cache bytes (default 64 MiB)
 //! soc-serve --faults SPEC             arm the fault-injection harness
@@ -60,18 +62,19 @@
 //! request answers a typed `Internal` error and the server keeps
 //! serving. Identical `(SOC, request)` pairs are answered from an
 //! exact-hit solution cache (in-flight duplicates coalesce onto one
-//! computation), and with `--cache-dir` both the content-addressed
-//! module time rows (`rows.v1`, bounded by `--max-store-bytes`) and the
-//! successful responses themselves (`solutions.v1`) persist across
-//! processes, so a restarted server rebuilds zero rows and replays
-//! repeat requests as cache hits — the final `Bye` frame's `cache`
-//! block reports both.
+//! computation). The content-addressed module time rows are bounded by
+//! `--max-store-bytes` in memory and on disk; with `--cache-dir` both
+//! those rows (`rows.v1`) and the successful responses themselves
+//! (`solutions.v1`) persist across processes, so a restarted server
+//! rebuilds zero rows and replays repeat requests as cache hits — the
+//! final `Bye` frame's `cache` block reports both.
 //! Requests that set `"stats": true` are answered with a per-request
 //! `stats` block (cache provenance plus race-deterministic table
 //! deltas) and the `Bye` gains an aggregate `trace` block;
 //! `--stats-summary` additionally traces every request in-process and
 //! prints a human-readable utilization summary on stderr after the
-//! session ends, keeping timing and pool counters off the wire. The
+//! session ends (with the row store's resident rows, charge and
+//! evictions), keeping timing and pool counters off the wire. The
 //! fault spec (`--faults`, or the `SOCTEST_FAULTS` environment variable
 //! when the flag is absent) is `stage:kind[:arg][@request_id]`,
 //! comma-separated — e.g. `optimize:panic@r2,respond:delay:50,
@@ -261,7 +264,7 @@ fn serve_listener(addr_text: &str, options: &Options) -> ExitCode {
                 stats.store_rows_saved,
             );
             if options.stats_summary {
-                eprint!("{}", render_stats_summary(&server.session_trace()));
+                print_stats_summary(&server);
             }
             ExitCode::SUCCESS
         }
@@ -270,6 +273,18 @@ fn serve_listener(addr_text: &str, options: &Options) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// `--stats-summary`: the session trace and the row store, on stderr.
+fn print_stats_summary(server: &Server) {
+    eprint!(
+        "{}",
+        render_stats_summary(
+            &server.session_trace(),
+            &server.row_store().stats(),
+            server.config().max_store_bytes,
+        )
+    );
 }
 
 fn parse_number<N: std::str::FromStr>(arg: Option<String>) -> N {
@@ -344,7 +359,7 @@ fn main() -> ExitCode {
     let stdin = std::io::stdin();
     let served = server.serve(stdin.lock(), std::io::stdout());
     if options.stats_summary {
-        eprint!("{}", render_stats_summary(&server.session_trace()));
+        print_stats_summary(&server);
     }
     match served {
         Ok(_) => ExitCode::SUCCESS,

@@ -16,6 +16,7 @@ use soctest_multisite::service::{
     named_soc_catalogue, ClientFrame, OptimizeFrame, Server, ServerConfig, SocSpec,
 };
 use soctest_multisite::{OptimizeRequest, OptimizerConfig, RequestTrace, SweepAxis};
+use soctest_tam::RowStoreStats;
 use std::fmt::Write as _;
 use std::io::Cursor;
 
@@ -241,11 +242,19 @@ pub fn run_session_traced(
 /// a test cell: each bar splits a total into its provenance segments
 /// (`#` computed, `+` from the row store, `=` inherited, `-` other).
 ///
+/// Its last line reads the server's row store (`store`, bounded by
+/// `store_bound`): resident rows, their byte charge against the bound,
+/// and rows evicted.
+///
 /// The summary is diagnostic stderr output, not a wire frame: it
-/// includes the wall/CPU times and pool counters that are deliberately
-/// kept off the race-deterministic NDJSON transcript.
+/// includes the wall/CPU times, pool counters and store gauges that are
+/// deliberately kept off the race-deterministic NDJSON transcript.
 #[must_use]
-pub fn render_stats_summary(trace: &RequestTrace) -> String {
+pub fn render_stats_summary(
+    trace: &RequestTrace,
+    store: &RowStoreStats,
+    store_bound: Option<u64>,
+) -> String {
     let ms = |nanos: u64| nanos as f64 / 1e6;
     let mut out = String::new();
     out.push_str(&format!(
@@ -295,6 +304,13 @@ pub fn render_stats_summary(trace: &RequestTrace) -> String {
         trace.pool.jobs_stolen,
         trace.pool.jobs_injected,
         trace.pool.inline_runs,
+    ));
+    out.push_str(&format!(
+        "  row store     {:>12} rows  {} bytes charged, bound {} | evicted {}\n",
+        store.rows,
+        store.bytes,
+        store_bound.map_or_else(|| "none".to_string(), |bound| bound.to_string()),
+        store.rows_evicted,
     ));
     out
 }
@@ -478,15 +494,43 @@ mod tests {
         trace.table_width = 256;
         trace.table.cells_computed = 48;
         trace.table.cells_inherited = 16;
-        let summary = render_stats_summary(&trace);
+        let summary = render_stats_summary(&trace, &RowStoreStats::default(), None);
         assert!(summary.contains("2 traced request(s)"));
         assert!(summary.contains("1.5 ms wall"));
         assert!(summary.contains("computed 48 | store 0 | inherited 16"));
         // 48/64 of a 32-wide bar is 24 `#`, the inherited 16/64 is 8 `=`.
         assert!(summary.contains(&format!("[{}{}]", "#".repeat(24), "=".repeat(8))));
         // Empty totals render an all-blank bar, not a division panic.
-        assert!(render_stats_summary(&RequestTrace::default())
-            .contains(&format!("[{}]", " ".repeat(32))));
+        let empty = RequestTrace::default();
+        assert!(
+            render_stats_summary(&empty, &RowStoreStats::default(), None)
+                .contains(&format!("[{}]", " ".repeat(32)))
+        );
+    }
+
+    #[test]
+    fn stats_summary_ends_with_the_row_store_line() {
+        let mut store = RowStoreStats::default();
+        store.rows = 328;
+        store.bytes = 65_600;
+        store.rows_evicted = 152;
+        let summary = render_stats_summary(&RequestTrace::default(), &store, Some(65_536));
+        assert_eq!(
+            summary.lines().last(),
+            Some(
+                "  row store              328 rows  65600 bytes charged, bound 65536 | evicted 152"
+            )
+        );
+        let unbounded = render_stats_summary(&RequestTrace::default(), &store, None);
+        assert!(unbounded.contains("bytes charged, bound none | evicted 152"));
+        // The line is stderr only: a bounded server's transcript equals
+        // an unbounded one's.
+        let mut config = ServerConfig::default();
+        config.max_store_bytes = None;
+        assert_eq!(
+            run_session_text(&sample_session(), config).unwrap(),
+            run_session_text(&sample_session(), ServerConfig::default()).unwrap()
+        );
     }
 
     #[test]

@@ -453,6 +453,8 @@ impl RequestTrace {
         merged.table.pages_allocated += other.table.pages_allocated;
         merged.store.rows += other.store.rows;
         merged.store.cells += other.store.cells;
+        merged.store.bytes += other.store.bytes;
+        merged.store.rows_evicted += other.store.rows_evicted;
         merged.store.cells_computed += other.store.cells_computed;
         merged.store.cells_served += other.store.cells_served;
         merged.store.cells_loaded += other.store.cells_loaded;

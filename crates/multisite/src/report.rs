@@ -4,7 +4,7 @@
 //! every figure/table generator produces the same, easily diffable layout.
 
 use crate::solution::{MultiSiteSolution, SitePoint};
-use crate::sweep::{SweepCurve, SweepPoint};
+use crate::sweep::SweepPoint;
 use std::fmt::Write as _;
 
 /// Formats the full throughput-versus-sites curve of a solution as an
@@ -37,27 +37,6 @@ pub fn format_throughput_curve(solution: &MultiSiteSolution) -> String {
                 ""
             }
         );
-    }
-    out
-}
-
-/// Formats a labelled set of sweep curves as a text table, one row per
-/// swept value and one column per curve (the layout of Figures 6 and 7).
-pub fn format_sweep_curves(title: &str, parameter_name: &str, curves: &[SweepCurve]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = write!(out, "{:>14}", parameter_name);
-    for curve in curves {
-        let _ = write!(out, " {:>14}", curve.label);
-    }
-    let _ = writeln!(out);
-    let rows = curves.first().map(|c| c.points.len()).unwrap_or(0);
-    for row in 0..rows {
-        let _ = write!(out, "{:>14}", curves[0].points[row].parameter);
-        for curve in curves {
-            let _ = write!(out, " {:>14.1}", curve.points[row].optimal.objective());
-        }
-        let _ = writeln!(out);
     }
     out
 }

@@ -49,7 +49,7 @@ pub use protocol::{
     SocSpec, TraceSummary,
 };
 pub use registry::{RegistryStats, SessionHandle, SessionRegistry};
-pub use server::{Server, ServerConfig, ROWS_FILE, SOLUTIONS_FILE};
+pub use server::{Server, ServerConfig, DEFAULT_MAX_STORE_BYTES, ROWS_FILE, SOLUTIONS_FILE};
 pub use transport::{BoundListener, ClientStream, ListenAddr, TransportConfig, TransportStats};
 
 use soctest_soc_model::synthetic::pnx8550_like;

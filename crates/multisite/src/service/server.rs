@@ -73,6 +73,10 @@ pub const ROWS_FILE: &str = "rows.v1";
 /// recomputing a single cell.
 pub const SOLUTIONS_FILE: &str = "solutions.v1";
 
+/// The default [`ServerConfig::max_store_bytes`]: 16 MiB of row charge,
+/// about 50,000 rows of ITC'02-sized cores.
+pub const DEFAULT_MAX_STORE_BYTES: u64 = 16 * 1024 * 1024;
+
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -99,10 +103,14 @@ pub struct ServerConfig {
     /// version-mismatched file is a clean miss (a stderr warning, an
     /// empty store), never an error.
     pub cache_dir: Option<PathBuf>,
-    /// When set, `<cache_dir>/rows.v1` is bounded: a save drops the
-    /// coldest rows (by last touch, an order the file itself persists)
-    /// until the serialized store fits, so a long-lived cache directory
-    /// cannot grow without bound. `None` saves every row.
+    /// When set, bounds the module-row store, resident and on disk
+    /// alike, in the bytes each row takes in `rows.v1` (`24 + key + 16 ×
+    /// cells`). Past the bound the resident store evicts the coldest rows
+    /// that no live session's table holds, and recomputes an evicted row
+    /// bit-identically on its next use; a save of `<cache_dir>/rows.v1`
+    /// drops the coldest rows (by last touch, an order the file itself
+    /// persists) until the file fits. `None` bounds neither. Default:
+    /// [`DEFAULT_MAX_STORE_BYTES`] (16 MiB).
     pub max_store_bytes: Option<u64>,
     /// The armed fault plan (empty in production).
     pub faults: FaultPlan,
@@ -131,7 +139,7 @@ impl Default for ServerConfig {
             max_result_entries: 256,
             max_result_bytes: 64 * 1024 * 1024,
             cache_dir: None,
-            max_store_bytes: None,
+            max_store_bytes: Some(DEFAULT_MAX_STORE_BYTES),
             faults: FaultPlan::none(),
             trace_all: false,
             executors: 1,
@@ -337,10 +345,15 @@ struct Executed {
 
 impl Server {
     /// A server with the given knobs, an empty session registry, and a
-    /// row store warmed from [`ServerConfig::cache_dir`] when set (a
-    /// bad cache file degrades to a cold store, never an error).
+    /// row store bounded by [`ServerConfig::max_store_bytes`] and warmed
+    /// from [`ServerConfig::cache_dir`] when set (a bad cache file
+    /// degrades to a cold store, never an error).
     pub fn new(config: ServerConfig) -> Self {
-        let row_store = Arc::new(RowStore::new());
+        let row_store = Arc::new(
+            config
+                .max_store_bytes
+                .map_or_else(RowStore::new, RowStore::bounded),
+        );
         let solutions = Arc::new(SolutionCache::new(
             config.max_result_entries,
             config.max_result_bytes,
@@ -382,7 +395,8 @@ impl Server {
     }
 
     /// The server's shared module-row store (one per server, shared by
-    /// every session its registry builds).
+    /// every session its registry builds, bounded by
+    /// [`ServerConfig::max_store_bytes`]).
     pub fn row_store(&self) -> &Arc<RowStore> {
         &self.row_store
     }
@@ -1772,6 +1786,89 @@ mod tests {
         }
         assert_eq!(stats.cache.result_hits, 1);
         assert_eq!(stats.cache.result_misses, 2);
+    }
+
+    #[test]
+    fn a_bounded_row_store_answers_fresh_designs_like_an_unbounded_one() {
+        // Sixty fresh inline designs of eight one-off cores each, served
+        // through two warm sessions. Under a 64 KiB bound the store must
+        // evict the rows of designs no session holds any more, and every
+        // answer must stay byte-identical to the unbounded store's.
+        use soctest_soc_model::{writer::write_soc, Module};
+        use soctest_wrapper::row::ModuleShape;
+        let designs: Vec<Soc> = (0..60u64)
+            .map(|design| {
+                let mut soc = Soc::new(format!("fresh{design}"));
+                for core in 0..8u64 {
+                    let k = design * 8 + core;
+                    soc.push_module(
+                        Module::builder(format!("c{core}"))
+                            .patterns(20 + k % 100)
+                            .inputs(4)
+                            .outputs(4)
+                            .scan_chain(30 + k % 97)
+                            .scan_chain(10 + k % 13)
+                            .build(),
+                    );
+                }
+                soc
+            })
+            .collect();
+        let input: String = designs
+            .iter()
+            .enumerate()
+            .map(|(i, soc)| {
+                let soc = SocSpec::Inline(write_soc(soc));
+                optimize_line(&format!("r{i}"), soc, None) + "\n"
+            })
+            .collect();
+        let serve = |max_store_bytes| {
+            let server = Server::new(ServerConfig {
+                max_sessions: 2,
+                max_store_bytes,
+                ..ServerConfig::default()
+            });
+            let output = SharedBuf::default();
+            server
+                .serve(Cursor::new(input.clone().into_bytes()), output.clone())
+                .expect("serve");
+            let answers: Vec<String> = String::from_utf8(output.contents())
+                .unwrap()
+                .lines()
+                .filter(|line| !line.starts_with(r#"{"Bye""#))
+                .map(str::to_owned)
+                .collect();
+            (server, answers)
+        };
+        let bound = 64 * 1024;
+        let (bounded, bounded_answers) = serve(Some(bound));
+        let (unbounded, unbounded_answers) = serve(None);
+        assert_eq!(bounded_answers.len(), designs.len());
+        assert!(bounded_answers
+            .iter()
+            .all(|l| l.starts_with(r#"{"Result""#)));
+        assert_eq!(bounded_answers, unbounded_answers);
+
+        let stats = bounded.row_store().stats();
+        assert!(stats.rows_evicted > 0, "the bound evicted nothing");
+        assert_eq!(unbounded.row_store().stats().rows_evicted, 0);
+        assert!(unbounded.row_store().stats().bytes > bound);
+        // The two live sessions, the last two designs, hold their rows;
+        // everything else fits the bound.
+        let held: u64 = designs[designs.len() - 2..]
+            .iter()
+            .flat_map(|soc| soc.modules())
+            .map(|module| {
+                let shape = ModuleShape::of(module);
+                let row = bounded.row_store().row_for_shape(&shape);
+                24 + shape.content_key().len() as u64 + 16 * row.len() as u64
+            })
+            .sum();
+        assert!(
+            stats.bytes <= bound + held,
+            "{} bytes resident, over the bound {bound} plus {held} held",
+            stats.bytes
+        );
     }
 
     /// A unique scratch directory for cache-dir tests, removed by

@@ -41,27 +41,48 @@
 //! written before ordering existed still load, they just start with an
 //! arbitrary recency. That ordering is what [`RowStore::save_capped`]
 //! compacts by: when the serialized store exceeds its byte bound, the
-//! coldest rows are dropped until the file fits.
+//! coldest rows are dropped until the file fits. A bounded store's
+//! [`RowStore::load`] trims by the same order once, after merging.
 //!
 //! # Resident layout
 //!
 //! One resident row is a single `Arc` allocation holding the canonical
 //! key as a `Box<[u8]>` (32 bytes of header words plus 8 per scan chain),
-//! its cells as one exact-size `Box<[(width, time)]>` sorted by width
-//! behind the row's mutex, the touch stamp, and a handle to the store's
-//! cell gauge. [`StoreRow::get`] binary-searches the slice; a first
-//! [`StoreRow::insert`] copies it into a slice one cell longer, and
-//! [`RowStore::load`] merges a file row's sorted cells into one new
-//! slice. The map holds one `Arc` per content hash. On a `new_designs`
-//! benchmark run (about 13 cells per row) that is about 34 bytes per
-//! resident cell; the earlier layout — a `Mutex<BTreeMap<u64, u64>>` per
-//! row, a `Vec` bucket per hash and a `Vec<u8>` key — cost about 71.
+//! its cells as one `Vec<(width, time)>` sorted by width behind the row's
+//! mutex, the touch stamp, and a handle to the store's cell gauge.
+//! [`StoreRow::get`] binary-searches the cells and [`StoreRow::insert`]
+//! shifts one in; the vector grows geometrically, so a row's dozen or so
+//! inserts reallocate it a few times rather than once each, and a freed
+//! row's blocks are the sizes the next rows ask for. [`RowStore::load`]
+//! merges a file row's sorted cells in one pass. The map holds one `Arc`
+//! per content hash.
 //!
 //! A row whose hash is already taken by a row with a different key goes
 //! in a side list, where lookups match it by its full key, so a hash
 //! collision yields two distinct rows that never see each other's cells.
-//! The resident store never shrinks: `save_capped` bounds the file, not
-//! memory.
+//!
+//! # Resident bound
+//!
+//! [`RowStore::bounded`] caps the resident rows at a byte charge, each
+//! row charged its `rows.v1` size: `24 + key + 16 × cells` bytes. The
+//! charge is a running total of three gauges (rows, key bytes, cells), so
+//! checking it costs three relaxed loads. Past the bound the store evicts
+//! by a second-chance CLOCK over an admission queue that holds every
+//! resident row's handle. Each queue entry remembers the row's touch
+//! stamp when the hand last passed it. When a resolve finds the store
+//! over its bound, the hand visits at most 16 entries (`EVICT_VISITS`)
+//! from the front. It re-queues a row that a table still holds, or that
+//! was touched since the hand last passed it (its second chance), and
+//! evicts any other row, until the charge fits. A row a live table holds
+//! is never evicted: a table's handle keeps the `Arc`'s count above the
+//! store's own two, and no new handle can appear while the store's lock
+//! is held. Evicted rows are freed after that lock is released. A shape
+//! whose row was evicted resolves to a new, empty row and is recomputed
+//! bit-identically on its next probe. Because one resolve visits a fixed
+//! number of entries, the hand never re-stamps the whole queue at once;
+//! the charge can therefore run past the bound for a while, by the rows
+//! still held and by the cells that held rows gain between resolves.
+//! [`RowStore::new`] is unbounded.
 //!
 //! The envelope (magic + version + checksummed payload + atomic rename)
 //! is shared with the service's `solutions.v1` file through
@@ -76,17 +97,40 @@
 
 use soctest_wrapper::row::ModuleShape;
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{self, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// File magic (7 bytes) followed by the one-byte format version.
 const MAGIC: &[u8; 7] = b"SOCROWS";
 /// Current on-disk format version byte.
 const VERSION: u8 = b'1';
+
+/// Bytes a row is charged for its hash, key length and cell count words,
+/// as in `rows.v1`.
+const ROW_WORDS: u64 = 24;
+/// Bytes a row is charged per `(width, time)` cell, as in `rows.v1`.
+const CELL_BYTES: u64 = 16;
+
+/// Clock entries one resolve may visit while the store is over its
+/// bound. A small fixed number keeps each admission cheap and stops one
+/// admission from re-stamping the whole queue, after which the next
+/// admissions would evict hot rows in queue order.
+const EVICT_VISITS: usize = 16;
+
+/// Handles the store itself keeps on a resident row: its map (or side
+/// list) entry and its clock entry. A count above this means a table, or
+/// another caller, holds the row.
+const STORE_HANDLES: usize = 2;
+
+/// A row's charge, resident or on disk: its size in `rows.v1`.
+fn row_charge(key_len: usize, cells: usize) -> u64 {
+    ROW_WORDS + key_len as u64 + CELL_BYTES * cells as u64
+}
 
 /// The process-wide last-touch clock: every [`StoreRow::get`] /
 /// [`StoreRow::insert`] stamps its row with the next tick, so "coldest"
@@ -139,11 +183,14 @@ impl From<io::Error> for StoreError {
 /// table that resolved it, and the persistence layer.
 #[derive(Debug)]
 pub struct StoreRow {
+    /// The hash the store's map files this row under.
+    hash: u64,
     key: Box<[u8]>,
-    /// Cells sorted by ascending width, one exact-size allocation.
-    cells: Mutex<Box<[(u64, u64)]>>,
+    /// Cells sorted by ascending width.
+    cells: Mutex<Vec<(u64, u64)>>,
     /// Last [`TOUCH_CLOCK`] tick that read or wrote this row — the
-    /// recency [`RowStore::save_capped`] compacts by.
+    /// recency [`RowStore::save_capped`] compacts by and the eviction
+    /// clock's second chance reads.
     touch: AtomicU64,
     /// The owning store's resident-cell gauge, bumped on every cell this
     /// row gains.
@@ -151,10 +198,11 @@ pub struct StoreRow {
 }
 
 impl StoreRow {
-    fn new(key: Vec<u8>, resident_cells: Arc<AtomicU64>) -> Self {
+    fn new(hash: u64, key: Vec<u8>, resident_cells: Arc<AtomicU64>) -> Self {
         StoreRow {
+            hash,
             key: key.into_boxed_slice(),
-            cells: Mutex::new(Box::default()),
+            cells: Mutex::new(Vec::new()),
             touch: AtomicU64::new(0),
             resident_cells,
         }
@@ -185,17 +233,13 @@ impl StoreRow {
         let Err(at) = cells.binary_search_by_key(&width, |&(w, _)| w) else {
             return false;
         };
-        let mut grown = Vec::with_capacity(cells.len() + 1);
-        grown.extend_from_slice(&cells[..at]);
-        grown.push((width, time));
-        grown.extend_from_slice(&cells[at..]);
-        *cells = grown.into_boxed_slice();
+        cells.insert(at, (width, time));
         self.resident_cells.fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// Merges `loaded` (sorted by width, widths distinct) into the row in
-    /// one allocation; resident cells win ties. Returns the cells added.
+    /// Merges `loaded` (sorted by width, widths distinct) into the row;
+    /// resident cells win ties. Returns the cells added.
     fn merge(&self, loaded: Vec<(u64, u64)>) -> u64 {
         let mut cells = lock(&self.cells);
         let merged = if cells.is_empty() {
@@ -214,7 +258,7 @@ impl StoreRow {
         };
         let added = (merged.len() - cells.len()) as u64;
         if added > 0 {
-            *cells = merged.into_boxed_slice();
+            *cells = merged;
             self.resident_cells.fetch_add(added, Ordering::Relaxed);
         }
         added
@@ -235,14 +279,23 @@ impl StoreRow {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct RowStoreStats {
-    /// Distinct shapes resident.
+    /// Distinct shapes resident: a gauge, which falls when a bounded
+    /// store evicts.
     pub rows: u64,
-    /// `(shape, width)` cells resident across all rows.
+    /// `(shape, width)` cells resident across all rows: a gauge, like
+    /// `rows`.
     pub cells: u64,
+    /// The resident rows' charge in bytes, `24 + key + 16 × cells` per
+    /// row (its size in `rows.v1`): the gauge a bounded store holds to
+    /// its bound.
+    pub bytes: u64,
+    /// Rows a bounded store evicted since construction.
+    pub rows_evicted: u64,
     /// Cells computed fresh since construction — counted on first insert
     /// of a `(shape, width)` pair, so the count is deterministic under
     /// racing duplicate computations. "Zero rows rebuilt" on a warm
-    /// restart means exactly this counter staying zero.
+    /// restart means exactly this counter staying zero. A cell of an
+    /// evicted row counts again when it is recomputed.
     pub cells_computed: u64,
     /// Cells a table filled from the store instead of computing (counted
     /// by the first table cell each serves; concurrent probes that race a
@@ -257,13 +310,15 @@ impl RowStoreStats {
     /// Counter growth from `earlier` to `self` — the same epoch/diff
     /// pattern as `LazyTimeTable::stats_epoch`, so one request's store
     /// traffic can be attributed by snapshotting around it. Saturating:
-    /// `rows`/`cells` are resident gauges, so their "delta" is growth
-    /// (never negative), and stale snapshots yield zeros.
+    /// `rows`, `cells` and `bytes` are resident gauges, so their "delta"
+    /// is growth (never negative), and stale snapshots yield zeros.
     #[must_use]
     pub fn delta_since(&self, earlier: &RowStoreStats) -> RowStoreStats {
         RowStoreStats {
             rows: self.rows.saturating_sub(earlier.rows),
             cells: self.cells.saturating_sub(earlier.cells),
+            bytes: self.bytes.saturating_sub(earlier.bytes),
+            rows_evicted: self.rows_evicted.saturating_sub(earlier.rows_evicted),
             cells_computed: self.cells_computed.saturating_sub(earlier.cells_computed),
             cells_served: self.cells_served.saturating_sub(earlier.cells_served),
             cells_loaded: self.cells_loaded.saturating_sub(earlier.cells_loaded),
@@ -276,47 +331,96 @@ impl RowStoreStats {
 #[derive(Debug, Default)]
 pub struct RowStore {
     rows: Mutex<ResidentRows>,
-    /// Gauges behind [`RowStore::stats`]: rows created, and cells first
-    /// inserted or merged (shared with every row).
+    /// The resident byte bound; `None` never evicts.
+    max_bytes: Option<u64>,
+    /// Gauges behind [`RowStore::stats`] and the charge: rows and key
+    /// bytes resident (changed under the `rows` lock), and cells resident
+    /// (shared with every row).
     resident_rows: AtomicU64,
+    resident_key_bytes: AtomicU64,
     resident_cells: Arc<AtomicU64>,
+    rows_evicted: AtomicU64,
     cells_computed: AtomicU64,
     cells_served: AtomicU64,
     cells_loaded: AtomicU64,
 }
 
 /// The resident rows: one per content hash, plus the rare rows whose hash
-/// an earlier row with a different key already holds.
+/// an earlier row with a different key already holds, and the eviction
+/// clock over all of them.
 #[derive(Debug, Default)]
 struct ResidentRows {
     by_hash: HashMap<u64, Arc<StoreRow>>,
     collided: Vec<Arc<StoreRow>>,
+    /// Every resident row once, in admission order rotated by the hand
+    /// (the front), each with its touch stamp when the hand last passed
+    /// it (`0` until then).
+    clock: VecDeque<(Arc<StoreRow>, u64)>,
 }
 
 impl ResidentRows {
     fn iter(&self) -> impl Iterator<Item = &Arc<StoreRow>> {
-        self.by_hash.values().chain(&self.collided)
+        self.clock.iter().map(|(row, _)| row)
+    }
+
+    /// Drops an evicted row's map entry; a side-list row with the same
+    /// hash takes over the map slot.
+    fn unlink(&mut self, row: &Arc<StoreRow>) {
+        let holds = |r: &Arc<StoreRow>| Arc::ptr_eq(r, row);
+        if !self.by_hash.get(&row.hash).is_some_and(holds) {
+            self.collided.retain(|r| !holds(r));
+        } else if let Some(at) = self.collided.iter().position(|r| r.hash == row.hash) {
+            self.by_hash.insert(row.hash, self.collided.swap_remove(at));
+        } else {
+            self.by_hash.remove(&row.hash);
+        }
     }
 }
 
 impl RowStore {
-    /// An empty store.
+    /// An empty, unbounded store: no resident row is ever evicted.
     pub fn new() -> Self {
         RowStore::default()
     }
 
+    /// An empty store whose resident rows are held to `max_bytes` of
+    /// charge (see [Resident bound](self#resident-bound)): past it, a
+    /// resolve evicts the coldest rows that no table holds.
+    pub fn bounded(max_bytes: u64) -> Self {
+        RowStore {
+            max_bytes: Some(max_bytes),
+            ..RowStore::default()
+        }
+    }
+
     /// The resident row for `shape`, created empty if absent. The handle
-    /// is shared: every table resolving an equal shape gets the same row.
+    /// is shared: every table resolving an equal shape gets the same row,
+    /// and a bounded store never evicts a row while a handle is held.
     pub fn row_for_shape(&self, shape: &ModuleShape) -> Arc<StoreRow> {
         let key = shape.content_key();
         self.row_for_key(fnv1a64(&key), key)
     }
 
-    /// Get-or-create by `(hash, key)`: the row under `hash` if its key is
-    /// `key`, else a side-list row with that key, else a new row.
+    /// Get-or-create by `(hash, key)`, then, over the bound, one
+    /// eviction pass; the victims are freed after the lock is released.
     fn row_for_key(&self, hash: u64, key: Vec<u8>) -> Arc<StoreRow> {
         let mut rows = lock(&self.rows);
-        let ResidentRows { by_hash, collided } = &mut *rows;
+        let row = self.resolve(&mut rows, hash, key);
+        let victims = self.evict(&mut rows, EVICT_VISITS);
+        drop(rows);
+        drop(victims);
+        row
+    }
+
+    /// Get-or-create under the lock: the row under `hash` if its key is
+    /// `key`, else a side-list row with that key, else a new row admitted
+    /// at the back of the clock.
+    fn resolve(&self, rows: &mut ResidentRows, hash: u64, key: Vec<u8>) -> Arc<StoreRow> {
+        let ResidentRows {
+            by_hash,
+            collided,
+            clock,
+        } = rows;
         let holder = by_hash.entry(hash);
         if let Entry::Occupied(holder) = &holder {
             let mut candidates = std::iter::once(holder.get()).chain(collided.iter());
@@ -324,15 +428,62 @@ impl RowStore {
                 return Arc::clone(row);
             }
         }
-        let row = Arc::new(StoreRow::new(key, Arc::clone(&self.resident_cells)));
+        self.resident_key_bytes
+            .fetch_add(key.len() as u64, Ordering::Relaxed);
+        let row = Arc::new(StoreRow::new(hash, key, Arc::clone(&self.resident_cells)));
         match holder {
             Entry::Occupied(_) => collided.push(Arc::clone(&row)),
             Entry::Vacant(slot) => {
                 slot.insert(Arc::clone(&row));
             }
         }
+        clock.push_back((Arc::clone(&row), 0));
         self.resident_rows.fetch_add(1, Ordering::Relaxed);
         row
+    }
+
+    /// The resident rows' charge: three relaxed loads.
+    fn charge(&self) -> u64 {
+        ROW_WORDS * self.resident_rows.load(Ordering::Relaxed)
+            + self.resident_key_bytes.load(Ordering::Relaxed)
+            + CELL_BYTES * self.resident_cells.load(Ordering::Relaxed)
+    }
+
+    /// While the charge is over the bound, moves the clock hand over at
+    /// most `visits` entries: a row that is held, or was touched since
+    /// the hand last passed it, goes to the back with its stamp renewed;
+    /// any other row is evicted. Returns the victims, for the caller to
+    /// free once the lock is released.
+    fn evict(&self, rows: &mut ResidentRows, visits: usize) -> Vec<Arc<StoreRow>> {
+        let mut victims = Vec::new();
+        let Some(max_bytes) = self.max_bytes else {
+            return victims;
+        };
+        for _ in 0..visits {
+            if self.charge() <= max_bytes {
+                break;
+            }
+            let Some((row, seen)) = rows.clock.pop_front() else {
+                break;
+            };
+            let touch = row.touch.load(Ordering::Relaxed);
+            if touch != seen || Arc::strong_count(&row) > STORE_HANDLES {
+                rows.clock.push_back((row, touch));
+                continue;
+            }
+            // Pairs with the release decrement of the last outside
+            // handle, so its cell writes are visible before the row goes.
+            atomic::fence(Ordering::Acquire);
+            rows.unlink(&row);
+            self.resident_rows.fetch_sub(1, Ordering::Relaxed);
+            self.resident_key_bytes
+                .fetch_sub(row.key.len() as u64, Ordering::Relaxed);
+            self.resident_cells
+                .fetch_sub(row.len() as u64, Ordering::Relaxed);
+            self.rows_evicted.fetch_add(1, Ordering::Relaxed);
+            victims.push(row);
+        }
+        victims
     }
 
     /// Counts one fresh `(shape, width)` computation. Call only when
@@ -353,6 +504,8 @@ impl RowStore {
         RowStoreStats {
             rows: self.resident_rows.load(Ordering::Relaxed),
             cells: self.resident_cells.load(Ordering::Relaxed),
+            bytes: self.charge(),
+            rows_evicted: self.rows_evicted.load(Ordering::Relaxed),
             cells_computed: self.cells_computed.load(Ordering::Relaxed),
             cells_served: self.cells_served.load(Ordering::Relaxed),
             cells_loaded: self.cells_loaded.load(Ordering::Relaxed),
@@ -361,7 +514,9 @@ impl RowStore {
 
     /// Merges every row of the `rows.v1` file at `path` into the store
     /// (resident cells win ties; the values are deterministic anyway) and
-    /// returns the number of cells merged.
+    /// returns the number of cells merged. A bounded store then applies
+    /// its bound once: the hand may pass every row twice, so the rows the
+    /// store keeps are the hottest, by the file's coldest-first order.
     ///
     /// # Errors
     ///
@@ -372,13 +527,18 @@ impl RowStore {
         let bytes = fs::read(path)?;
         let parsed = parse_rows_file(&bytes)?;
         let mut merged = 0u64;
+        let mut rows = lock(&self.rows);
         for (hash, key, cells) in parsed {
-            let row = self.row_for_key(hash, key);
+            let row = self.resolve(&mut rows, hash, key);
             merged += row.merge(cells);
             // Replay the file's recency: rows are stored coldest first,
             // so touching in file order restores the save-time ordering.
             row.touch_now();
         }
+        let visits = 2 * rows.clock.len();
+        let victims = self.evict(&mut rows, visits);
+        drop(rows);
+        drop(victims);
         self.cells_loaded.fetch_add(merged, Ordering::Relaxed);
         Ok(merged)
     }
@@ -424,7 +584,7 @@ impl RowStore {
         // Snapshot rows (touch + cells) up front so a concurrently
         // growing row cannot desync the size accounting from the bytes
         // actually serialized.
-        type RowSnapshot<'a> = (u64, u64, &'a [u8], Box<[(u64, u64)]>);
+        type RowSnapshot<'a> = (u64, u64, &'a [u8], Vec<(u64, u64)>);
         let rows: Vec<Arc<StoreRow>> = lock(&self.rows).iter().cloned().collect();
         let mut snapshot: Vec<RowSnapshot> = rows
             .iter()
@@ -442,18 +602,15 @@ impl RowStore {
 
         // Envelope overhead: magic + version + row count + checksum.
         let overhead = (MAGIC.len() + 1 + 8 + 8) as u64;
-        let row_cost = |key: &[u8], cells: &[(u64, u64)]| {
-            8 + 8 + key.len() as u64 + 8 + 16 * cells.len() as u64
-        };
         let mut total = overhead
             + snapshot
                 .iter()
-                .map(|(_, _, k, c)| row_cost(k, c))
+                .map(|(_, _, k, c)| row_charge(k.len(), c.len()))
                 .sum::<u64>();
         let mut first_kept = 0;
         while total > max_bytes && first_kept < snapshot.len() {
             let (_, _, key, cells) = &snapshot[first_kept];
-            total -= row_cost(key, cells);
+            total -= row_charge(key.len(), cells.len());
             first_kept += 1;
         }
         let kept = &snapshot[first_kept..];
@@ -815,11 +972,43 @@ mod tests {
         );
     }
 
-    /// `(rows, cells)` counted the slow way: a walk over every resident row.
-    fn walked(store: &RowStore) -> (u64, u64) {
-        lock(&store.rows).iter().fold((0, 0), |(rows, cells), row| {
-            (rows + 1, cells + row.len() as u64)
+    /// `(rows, cells, bytes)` counted the slow way: a walk over every
+    /// resident row.
+    fn walked(store: &RowStore) -> (u64, u64, u64) {
+        let rows = lock(&store.rows);
+        let by_map = rows.by_hash.len() + rows.collided.len();
+        assert_eq!(by_map, rows.clock.len(), "map and clock list the same rows");
+        rows.iter().fold((0, 0, 0), |(count, cells, bytes), row| {
+            let len = row.len();
+            (
+                count + 1,
+                cells + len as u64,
+                bytes + row_charge(row.key.len(), len),
+            )
         })
+    }
+
+    /// The gauges, as [`walked`] counts them.
+    fn gauges(store: &RowStore) -> (u64, u64, u64) {
+        let stats = store.stats();
+        (stats.rows, stats.cells, stats.bytes)
+    }
+
+    /// Which of the `shape(p, &[4, 2])` rows are resident, found without
+    /// a resolve or a touch.
+    fn resident(store: &RowStore, patterns: &[u64]) -> Vec<u64> {
+        let rows = lock(&store.rows);
+        let keys: Vec<&[u8]> = rows.iter().map(|row| &*row.key).collect();
+        patterns
+            .iter()
+            .copied()
+            .filter(|&p| keys.contains(&&*shape(p, &[4, 2]).content_key()))
+            .collect()
+    }
+
+    /// The charge of one `shape(p, &[4, 2])` row with `cells` cells.
+    fn charge_of(cells: usize) -> u64 {
+        row_charge(shape(1, &[4, 2]).content_key().len(), cells)
     }
 
     /// A directory of one test's own under the temp dir, removed with
@@ -864,7 +1053,7 @@ mod tests {
         );
         let stats = store.stats();
         assert_eq!((stats.rows, stats.cells), (2, 3));
-        assert_eq!(walked(&store), (2, 3));
+        assert_eq!(walked(&store), gauges(&store));
 
         // Both rows are saved, each under its key's own hash, so both load.
         let dir = ScratchDir::new("collided");
@@ -900,7 +1089,7 @@ mod tests {
         });
         let stats = store.stats();
         assert_eq!((stats.rows, stats.cells), (6, 6 * 12));
-        assert_eq!(walked(&store), (stats.rows, stats.cells));
+        assert_eq!(walked(&store), gauges(&store));
 
         let dir = ScratchDir::new("gauges");
         let path = dir.file("gauges.rows.v1");
@@ -914,7 +1103,7 @@ mod tests {
             (stats.rows, stats.cells, stats.cells_loaded),
             (7, 6 * 12 + 1, 71)
         );
-        assert_eq!(walked(&other), (stats.rows, stats.cells));
+        assert_eq!(walked(&other), gauges(&other));
     }
 
     #[test]
@@ -970,5 +1159,178 @@ mod tests {
         let path = std::env::temp_dir().join("soctest-rowstore-definitely-missing.rows.v1");
         assert_eq!(store.load_if_present(&path).unwrap(), 0);
         assert!(matches!(store.load(&path), Err(StoreError::Io(_))));
+    }
+
+    #[test]
+    fn a_bounded_store_evicts_unheld_rows_and_never_a_held_one() {
+        let store = RowStore::bounded(0);
+        let held = store.row_for_shape(&shape(3, &[4, 2]));
+        assert!(held.insert(1, 30));
+        assert!(store.row_for_shape(&shape(5, &[4, 2])).insert(1, 50));
+        // Over a zero bound, the next resolve evicts p=5, the one row no
+        // handle holds; p=3 and the new p=7 are held.
+        let seven = store.row_for_shape(&shape(7, &[4, 2]));
+        assert_eq!(resident(&store, &[3, 5, 7]), [3, 7]);
+        assert_eq!(store.stats().rows_evicted, 1);
+        assert_eq!(walked(&store), gauges(&store));
+        assert_eq!(gauges(&store), (2, 1, charge_of(1) + charge_of(0)));
+
+        // The evicted shape resolves to a new, empty row; resolving it
+        // evicts p=7, now released.
+        drop(seven);
+        let again = store.row_for_shape(&shape(5, &[4, 2]));
+        assert!(again.is_empty());
+        assert_eq!(resident(&store, &[3, 5, 7]), [3, 5]);
+        assert_eq!(held.get(1), Some(30), "a held row keeps its cells");
+        let stats = store.stats();
+        assert_eq!((stats.rows_evicted, stats.cells_loaded), (2, 0));
+        assert_eq!(walked(&store), gauges(&store));
+    }
+
+    #[test]
+    fn a_row_touched_since_the_hand_passed_gets_a_second_chance() {
+        let store = RowStore::bounded(3 * charge_of(2));
+        let fill = |p: u64| {
+            let row = store.row_for_shape(&shape(p, &[4, 2]));
+            row.insert(1, p);
+            row.insert(2, p);
+        };
+        fill(3);
+        fill(5);
+        fill(7);
+        assert_eq!(store.stats().bytes, 3 * charge_of(2), "at the bound");
+        // A fourth row puts the store over. The hand passes p=3, 5 and 7
+        // once (each was touched after it was admitted), then evicts
+        // p=3, which nothing touched since.
+        let nine = store.row_for_shape(&shape(9, &[4, 2]));
+        assert_eq!(resident(&store, &[3, 5, 7, 9]), [5, 7, 9]);
+        // Touch p=5, now at the front of the clock, and go over again:
+        // p=5 gets its second chance and p=7 goes instead.
+        assert_eq!(store.row_for_shape(&shape(5, &[4, 2])).get(1), Some(5));
+        nine.insert(1, 9);
+        nine.insert(2, 9);
+        drop(nine);
+        let _eleven = store.row_for_shape(&shape(11, &[4, 2]));
+        assert_eq!(resident(&store, &[3, 5, 7, 9, 11]), [5, 9, 11]);
+        assert_eq!(store.stats().rows_evicted, 2);
+        assert_eq!(walked(&store), gauges(&store));
+    }
+
+    #[test]
+    fn a_bounded_load_keeps_the_hottest_rows_of_the_file() {
+        let dir = ScratchDir::new("bounded-load");
+        let path = dir.file("bounded.rows.v1");
+        let saved = RowStore::new();
+        for p in [5u64, 3, 7] {
+            let row = saved.row_for_shape(&shape(p, &[4, 2]));
+            row.insert(2, p);
+            row.insert(4, 2 * p);
+        }
+        saved.save(&path).unwrap();
+
+        // The file holds p=5 coldest, then p=3, then p=7; a bound of two
+        // rows keeps the two hottest.
+        let store = RowStore::bounded(2 * charge_of(2));
+        assert_eq!(store.load(&path).unwrap(), 6);
+        assert_eq!(resident(&store, &[3, 5, 7]), [3, 7]);
+        let stats = store.stats();
+        assert_eq!((stats.rows_evicted, stats.cells_loaded), (1, 6));
+        assert_eq!(stats.bytes, 2 * charge_of(2));
+        assert_eq!(walked(&store), gauges(&store));
+        assert_eq!(store.row_for_shape(&shape(7, &[4, 2])).get(4), Some(14));
+
+        // An unbounded store and a roomy bound keep every row.
+        for roomy in [RowStore::new(), RowStore::bounded(3 * charge_of(2))] {
+            roomy.load(&path).unwrap();
+            assert_eq!(resident(&roomy, &[3, 5, 7]), [3, 5, 7]);
+            assert_eq!(roomy.stats().rows_evicted, 0);
+        }
+    }
+
+    #[test]
+    fn an_evicted_map_row_hands_its_slot_to_a_colliding_twin() {
+        let store = RowStore::bounded(0);
+        let a = store.row_for_key(42, b"key a".to_vec());
+        let b = store.row_for_key(42, b"key b".to_vec());
+        assert!(b.insert(3, 31));
+        drop(a);
+        let _c = store.row_for_key(7, b"key c".to_vec());
+        assert_eq!(store.stats().rows_evicted, 1, "a was the one row unheld");
+        {
+            let rows = lock(&store.rows);
+            assert!(rows.collided.is_empty());
+            assert!(Arc::ptr_eq(&rows.by_hash[&42], &b), "b took a's slot");
+        }
+        assert!(Arc::ptr_eq(&b, &store.row_for_key(42, b"key b".to_vec())));
+        assert!(store.row_for_key(42, b"key a".to_vec()).is_empty());
+        assert_eq!(walked(&store), gauges(&store));
+    }
+
+    #[test]
+    fn threaded_resolves_keep_the_charge_exact_and_never_evict_a_held_row() {
+        // Four threads resolve, fill, hold and drop rows of twelve shapes
+        // under a bound of about three rows while eviction runs. A row a
+        // thread holds must stay the shape's resident row, every cell
+        // anyone reads must be the shape's own, and after the join the
+        // gauges must equal a walk and a full pass must restore the bound.
+        let bound = 3 * charge_of(8);
+        let store = RowStore::bounded(bound);
+        let time = |p: u64, width: usize| p * 100 + width as u64;
+        std::thread::scope(|scope| {
+            for seed in 1..=4u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                    let mut next = |bound: u64| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state % bound
+                    };
+                    let mut held: Vec<(u64, Arc<StoreRow>)> = Vec::new();
+                    for _ in 0..200 {
+                        let p = 1 + next(12);
+                        let row = store.row_for_shape(&shape(p, &[4, 2]));
+                        for width in 1..=8 {
+                            match row.get(width) {
+                                Some(found) => assert_eq!(found, time(p, width)),
+                                None => {
+                                    row.insert(width, time(p, width));
+                                }
+                            }
+                        }
+                        for (q, kept) in &held {
+                            let now = store.row_for_shape(&shape(*q, &[4, 2]));
+                            assert!(Arc::ptr_eq(kept, &now), "held row {q} was evicted");
+                            assert_eq!(kept.len(), 8);
+                        }
+                        if next(3) == 0 {
+                            held.push((p, row));
+                        }
+                        if held.len() > 2 {
+                            held.remove(next(held.len() as u64) as usize);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(store.stats().rows_evicted > 0, "the bound was exercised");
+        assert_eq!(walked(&store), gauges(&store));
+        for row in lock(&store.rows).iter() {
+            let p = (1..=12)
+                .find(|&p| *shape(p, &[4, 2]).content_key() == *row.key)
+                .expect("a test shape");
+            for &(width, found) in lock(&row.cells).iter() {
+                assert_eq!(found, time(p, width as usize));
+            }
+        }
+        // Nothing is held now: a pass that may visit every row twice
+        // brings the charge within the bound.
+        let mut rows = lock(&store.rows);
+        let visits = 2 * rows.clock.len();
+        drop(store.evict(&mut rows, visits));
+        drop(rows);
+        assert!(store.stats().bytes <= bound);
+        assert_eq!(walked(&store), gauges(&store));
     }
 }
